@@ -1,7 +1,7 @@
 """Exact penalty fixed-point methods for distributed consensus optimization."""
 
 from .topology import (Graph, MixingMatrix, generate_geometric_graph,
-                       metropolis_weights, spectral_gap, laplacian_quadratic,
+                       metropolis_weights, laplacian_quadratic,
                        network_to_json, graph_from_json, mixing_from_json)
 from .problems import (QuadraticProblem, LogisticProblem, ProblemConstants,
                        generate_quadratic, quadratic_constants, logistic_constants,

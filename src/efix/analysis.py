@@ -30,8 +30,7 @@ class TraceRecord:
 
 def oracle_quadratic(problem) -> OracleSolution:
     """Exact minimizer (sum_i B_ii)^{-1} sum_i B_ii b_i by dense solve."""
-    H = problem.B.sum(axis=0)
-    rhs = np.einsum("ijk,ik->j", problem.B, problem.b)
+    H, rhs, _ = problem.expanded_objective
     y = np.linalg.solve(H, rhs)
     return OracleSolution(y_star=y, f_star=float(problem.global_objective(y)),
                           method="direct-solve")
@@ -84,11 +83,13 @@ def error_v(x, problem) -> float:
 
     Vectorized over nodes (an N x N sweep otherwise dominates per-round
     trace collection); agrees with averaging ``global_objective`` directly.
+    A quadratic objective is evaluated in its expanded form, O(n^2) per
+    node instead of O(N n^2).
     """
     X = np.asarray(x, dtype=float).reshape(problem.node_count, -1)
     if problem.family == "quadratic":
-        diff = X[:, None, :] - problem.b[None, :, :]
-        vals = 0.5 * np.einsum("ika,kab,ikb->i", diff, problem.B, diff)
+        H, r, f0 = problem.expanded_objective
+        vals = 0.5 * ((X @ H) * X).sum(axis=1) - X @ r + f0
     else:
         t = problem.labels[:, None] * (problem.features @ X.T)
         vals = np.logaddexp(0.0, -t).sum(axis=0) \

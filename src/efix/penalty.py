@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .topology import MixingMatrix
+from .topology import MixingMatrix, gather
 
 
 class NonContractiveError(RuntimeError):
@@ -137,17 +137,19 @@ def jor_local_update(M_self, p, dinv, qtheta, neighbor_ids, neighbor_weights,
 
 
 def jor_step(z, sub: PenaltySubproblem):
-    """One synchronous JOR sweep M z + p over the stacked vector z."""
+    """One synchronous JOR sweep M z + p over the stacked vector z.
+
+    Each node's terms are added in the order ``jor_local_update`` adds
+    them, so row i equals that node update bit for bit.
+    """
     z = np.asarray(z, dtype=float)
     N, n = sub.node_count, sub.dim
     if z.size != N * n:
         raise ValueError(f"vector of size {z.size}, expected {N * n}")
     Z = z.reshape(N, n)
-    qtheta = sub.q * sub.theta
-    out = np.empty_like(Z)
-    for i in range(N):
-        out[i] = jor_local_update(sub.M_self[i], sub.p[i], sub.dinv[i], qtheta,
-                                  sub.w.neighbor_lists[i], sub.w.off_diag[i], Z[i], Z)
+    wsum = gather(sub.w, Z)
+    acc = np.matmul(sub.M_self, Z[..., None])[..., 0] + sub.p
+    out = acc + (sub.q * sub.theta) * (sub.dinv * wsum)
     return out.reshape(z.shape)
 
 
@@ -156,12 +158,8 @@ def penalty_gradient(sub: PenaltySubproblem, z):
     z = np.asarray(z, dtype=float)
     N, n = sub.node_count, sub.dim
     Z = z.reshape(N, n)
-    g = np.empty_like(Z)
-    for i in range(N):
-        acc = sub.A_self[i] @ Z[i]
-        for k, j in enumerate(sub.w.neighbor_lists[i]):
-            acc = acc - (sub.theta * sub.w.off_diag[i][k]) * Z[j]
-        g[i] = acc - sub.c[i]
+    acc = np.matmul(sub.A_self, Z[..., None])[..., 0]
+    g = gather(sub.w, Z, weights=-(sub.theta * sub.w.wt), acc=acc) - sub.c
     g = g.reshape(z.shape)
     return g, float(np.linalg.norm(g))
 
@@ -169,12 +167,12 @@ def penalty_gradient(sub: PenaltySubproblem, z):
 def dense_system(sub: PenaltySubproblem):
     """(A, c) as dense arrays; desk-scale helper for oracles and tests."""
     N, n = sub.node_count, sub.dim
-    A = np.zeros((N * n, N * n))
-    for i in range(N):
-        A[i * n:(i + 1) * n, i * n:(i + 1) * n] = sub.A_self[i]
-        for k, j in enumerate(sub.w.neighbor_lists[i]):
-            A[i * n:(i + 1) * n, j * n:(j + 1) * n] = -sub.theta * sub.w.off_diag[i][k] * np.eye(n)
-    return A, sub.c.reshape(-1)
+    w = sub.w
+    blocks = np.zeros((N, N, n, n))
+    blocks[np.arange(N)[:, None], w.idx] = (-sub.theta * w.wt)[:, :, None, None] * np.eye(n)
+    # after the table: padding slots wrote zero blocks onto the diagonal
+    blocks[np.arange(N), np.arange(N)] = sub.A_self
+    return blocks.transpose(0, 2, 1, 3).reshape(N * n, N * n), sub.c.reshape(-1)
 
 
 def dense_iteration_matrix(sub: PenaltySubproblem):

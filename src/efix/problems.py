@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,18 @@ class QuadraticProblem:
 
     def global_objective(self, y):
         return sum(self.local_objective(i, y) for i in range(self.node_count))
+
+    @cached_property
+    def expanded_objective(self):
+        """(H, r, f0) with sum_i f_i(y) = (1/2) y^T H y - y^T r + f0.
+
+        H = sum_i B_ii, r = sum_i B_ii b_i and f0 = (1/2) sum_i b_i^T B_ii b_i,
+        the objective at y = 0.
+        """
+        H = self.B.sum(axis=0)
+        r = np.einsum("ijk,ik->j", self.B, self.b)
+        f0 = 0.5 * float(np.einsum("ij,ijk,ik->", self.b, self.B, self.b))
+        return H, r, f0
 
     def to_json(self):
         return json.dumps({

@@ -5,7 +5,9 @@ have no reference to other nodes, so locality is enforced by construction.
 A round has two phases: every node's outgoing payload is snapshotted and
 delivered, then every node updates from its own state and its inbox.
 Because updates read only round-start snapshots, results are independent
-of the order in which node updates execute.
+of the order in which node updates execute.  The solvers run the same
+rounds on stacked arrays; this engine is the reference that they are
+tested against, bit for bit.
 
 The ledger meters the abstract cost model: computation in scalar products
 (one inner product of length-n vectors) and communication in vectors of

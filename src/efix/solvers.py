@@ -2,21 +2,27 @@
 
 efix_q / efix_g solve a sequence of quadratic penalty subproblems with
 increasing penalty parameter; each subproblem runs a fixed number of
-Chebyshev-accelerated JOR rounds on the message-passing engine, where the
-round count is derived from the target tolerance, the certified rate of
-the subproblem, and the previous tolerance.  efix_q_stopping replaces the
+Chebyshev-accelerated JOR rounds, where the round count is derived from
+the target tolerance, the certified rate of the subproblem, and the
+previous tolerance.  efix_q_stopping replaces the
 precomputed count by the (centrally evaluated) gradient-norm exit test and
 exists as a reference for calibrating the counts.  diging is the gradient-tracking
 first-order baseline.
+
+Rounds run on stacked (N, n) arrays, with every neighbor sum a gather over
+the network's neighbor table.  The node updates ``_efix_cheb_update`` and
+the one made by ``_diging_update_factory`` are the same rounds written for
+the message engine in ``simnet``; tests replay the solvers on it and
+require bit-identical traces.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis, penalty, problems, simnet
+from .topology import gather
 
 DIVERGENCE_CEILING = 1e12
 
@@ -31,9 +37,9 @@ class Schedule:
     penalty approximation error; "reciprocal" uses eps0 / s with eps0
     defaulting to theta0.  q is a safety fraction of the relaxation bound,
     evaluated either once at theta0 ("fixed") or per stage ("per_stage");
-    it sets the assembled JOR splitting and the stage record, but the
-    Chebyshev rounds re-relax the sweep to their own q = 2 / (a + b), so
-    it does not change the iterates.
+    it sets the assembled JOR splitting only: the Chebyshev rounds re-relax
+    the sweep to their own q = 2 / (a + b), so it changes neither the
+    iterates nor ``OuterRecord.q``.
     """
 
     theta0: float
@@ -83,6 +89,10 @@ class Budget:
     def __post_init__(self):
         if self.rounds is None and self.outer is None and self.scalar_products is None:
             raise ValueError("budget needs at least one limit")
+        for name in ("rounds", "outer", "scalar_products"):
+            limit = getattr(self, name)
+            if limit is not None and limit < 0:
+                raise ValueError(f"budget limit {name} must be nonnegative, got {limit}")
 
     def exhausted(self, ledger):
         if self.rounds is not None and ledger.rounds >= self.rounds:
@@ -96,7 +106,8 @@ class Budget:
 class OuterRecord:
     """Per-stage summary: schedule values, planned/executed rounds, residuals.
 
-    ``rho`` is the certified rate r of the stage's Chebyshev rounds.
+    ``q`` is the relaxation 2 / (a + b) that the stage's Chebyshev rounds
+    sweep with, and ``rho`` their certified rate r.
     """
 
     s: int
@@ -232,9 +243,7 @@ def _run_efix(problem, w, sched, budget, algo, stopping=False, cbar_exact=False,
     W_dense = w.to_dense()
     quadratic = problem.family == "quadratic"
 
-    X0 = _as_blocks(x0, N, n)
-    nodes = [simnet.NodeRuntime(i, w.neighbor_lists[i], {"z": X0[i].copy()})
-             for i in range(N)]
+    Z = _as_blocks(x0, N, n)
     ledger = simnet.CostLedger(w.degrees())
     trace = Trace(algo=algo, problem_hash=problems.problem_fingerprint(problem),
                   node_count=N, dim=n, centralized_reference=stopping,
@@ -259,33 +268,30 @@ def _run_efix(problem, w, sched, budget, algo, stopping=False, cbar_exact=False,
         eps_s = sched.epsilon_at(s, consts, w.lambda2)
         q_s = sched.q_at(s, consts.L, w.w_bar)
 
-        X = simnet.gather_state(nodes, "z").reshape(N, n)
-        sub = penalty.assemble_model(problem, X, w, theta_s, q_s)
+        sub = penalty.assemble_model(problem, Z, w, theta_s, q_s)
         if boundary_sp is not None:
             ledger.charge_local(boundary_sp)
         plan = penalty.chebyshev_plan(sub, consts.mu)
         sweep = penalty.relaxed(sub, plan.q)
         if eps_prev is None:
-            _, eps_prev = penalty.penalty_gradient(sub, X.reshape(-1))
+            _, eps_prev = penalty.penalty_gradient(sub, Z)
         if quadratic:
             cb_s = float(np.linalg.norm(sub.c))
             cbar_sum = 2.0 * cb_s
         else:
-            cb_s = cbar(problem, x_prev=X, consts=consts, exact=cbar_exact)
+            cb_s = cbar(problem, x_prev=Z, consts=consts, exact=cbar_exact)
             cbar_sum = (cb_s if cb_prev is None else cb_prev) + cb_s
         k_s = None if stopping else inner_count(eps_prev, eps_s, theta_s, plan.rate,
                                                 cbar_sum, consts.L, consts.mu,
                                                 solver_constant=2.0 * plan.C)
-        for i, nd in enumerate(nodes):
-            nd.blocks = _efix_node_blocks(sweep, w, i)
-            nd.state["z_prev"] = nd.state["z"]
+        Z_prev = Z
 
-        _emit(trace, ledger, X, s, theta_s, eps_s, problem, oracle, W_dense)
+        _emit(trace, ledger, Z, s, theta_s, eps_s, problem, oracle, W_dense)
 
         k_run = 0
         while True:
             if stopping:
-                _, gn = penalty.penalty_gradient(sub, simnet.gather_state(nodes, "z"))
+                _, gn = penalty.penalty_gradient(sub, Z)
                 if gn <= eps_s:
                     break
             elif k_run >= k_s:
@@ -293,31 +299,29 @@ def _run_efix(problem, w, sched, budget, algo, stopping=False, cbar_exact=False,
             if budget.exhausted(ledger):
                 stop = True
                 break
-            update = functools.partial(_efix_cheb_update, omega=plan.weight(k_run))
-            ok = simnet.run_round(nodes, ("z",), update, ledger, sp_round, 1)
+            Z, Z_prev = penalty.chebyshev_step(Z, Z_prev, sweep, plan.weight(k_run)), Z
+            ledger.charge_round(sp_round, 1)
             k_run += 1
-            X = simnet.gather_state(nodes, "z").reshape(N, n)
             if record_rounds:
-                _emit(trace, ledger, X, s, theta_s, eps_s, problem, oracle, W_dense)
-            if not ok:
+                _emit(trace, ledger, Z, s, theta_s, eps_s, problem, oracle, W_dense)
+            if not np.isfinite(Z).all():
                 trace.numerical_failure = True
                 stop = True
                 break
-            if np.max(np.linalg.norm(X, axis=1)) > DIVERGENCE_CEILING:
+            if np.max(np.linalg.norm(Z, axis=1)) > DIVERGENCE_CEILING:
                 trace.diverged = True
                 stop = True
                 break
 
-        Xs = simnet.gather_state(nodes, "z")
-        _, gn = penalty.penalty_gradient(sub, Xs)
+        _, gn = penalty.penalty_gradient(sub, Z)
         trace.outer.append(OuterRecord(
-            s=s, theta=theta_s, epsilon=eps_s, q=q_s, rho=plan.rate,
+            s=s, theta=theta_s, epsilon=eps_s, q=plan.q, rho=plan.rate,
             k_planned=k_s, k_run=k_run, grad_norm=gn,
-            error_max=analysis.max_node_error(Xs, oracle)))
+            error_max=analysis.max_node_error(Z, oracle)))
         eps_prev = eps_s
         cb_prev = cb_s if not quadratic else None
         s += 1
-    trace.x_final = simnet.gather_state(nodes, "z")
+    trace.x_final = Z.reshape(-1)
     return trace
 
 
@@ -327,7 +331,7 @@ def efix_q(problem, w, sched: Schedule, budget: Budget, oracle=None, x0=None,
 
     Each outer stage s assembles A = B + theta_s (I - W (x) I), bounds the
     spectrum of D^{-1} A, and runs exactly k(s) Chebyshev-accelerated JOR
-    rounds on the message-passing engine seeded from the previous iterate.
+    rounds seeded from the previous iterate.
     ``record_rounds=False`` keeps only the per-stage boundary rows, which
     makes long calibration runs much cheaper.
     """
@@ -411,14 +415,9 @@ def diging(problem, w, alpha, budget: Budget, variant=None, oracle=None,
     oracle = oracle or analysis.solve_reference(problem)
     W_dense = w.to_dense()
 
-    X0 = _as_blocks(x0, N, n)
-    nodes = []
-    for i in range(N):
-        blocks = {"w_self": float(w.diag[i]), "w_off": w.off_diag[i]}
-        if variant == "quadratic":
-            blocks["B"] = problem.B[i]
-        state = {"x": X0[i].copy(), "u": problem.local_gradient(i, X0[i])}
-        nodes.append(simnet.NodeRuntime(i, w.neighbor_lists[i], state, blocks))
+    X = _as_blocks(x0, N, n)
+    G = problems.stacked_gradient(problem, X)
+    U = G
     ledger = simnet.CostLedger(w.degrees())
     trace = Trace(algo="diging", problem_hash=problems.problem_fingerprint(problem),
                   node_count=N, dim=n, meta={"alpha": alpha, "variant": variant})
@@ -428,19 +427,27 @@ def diging(problem, w, alpha, budget: Budget, variant=None, oracle=None,
     else:
         sp_round = np.array([3 * n + len(J) for J in problem.partition], dtype=np.int64)
 
-    update = _diging_update_factory(problem, alpha, variant)
-    X = X0
+    w_self = w.diag[:, None]
     _emit(trace, ledger, X, 0, None, None, problem, oracle, W_dense)
     while not budget.exhausted(ledger):
-        ok = simnet.run_round(nodes, ("x", "u"), update, ledger, sp_round, 2)
-        X = simnet.gather_state(nodes, "x").reshape(N, n)
+        X_new = gather(w, X, acc=w_self * X) - alpha * U
+        if variant == "quadratic":
+            dU = np.matmul(problem.B, (X_new - X)[..., None])[..., 0]
+        else:
+            # the gradient at X is the one taken at X_new a round earlier
+            G_new = problems.stacked_gradient(problem, X_new)
+            dU = G_new - G
+            G = G_new
+        U = gather(w, U, acc=w_self * U) + dU
+        X = X_new
+        ledger.charge_round(sp_round, 2)
         if record_rounds:
             _emit(trace, ledger, X, 0, None, None, problem, oracle, W_dense)
-        if not ok:
+        if not (np.isfinite(X).all() and np.isfinite(U).all()):
             trace.numerical_failure = True
             break
         if np.max(np.linalg.norm(X, axis=1)) > DIVERGENCE_CEILING:
             trace.diverged = True
             break
-    trace.x_final = simnet.gather_state(nodes, "x")
+    trace.x_final = X.reshape(-1)
     return trace

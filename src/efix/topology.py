@@ -4,12 +4,13 @@ Networks are undirected, connected graphs over nodes 0..N-1.  A mixing
 matrix is the symmetric doubly stochastic weight matrix built from a graph
 by the Metropolis rule; its entries are stored sparsely (per-node neighbor
 weights plus the diagonal) because every algorithm in this package touches
-only neighbor weights.
+only neighbor weights.  The same weights also sit in a padded neighbor
+table, over which ``gather`` runs every neighbor sum of a round at once.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +67,10 @@ class MixingMatrix:
     ``off_diag[i]`` holds w_ij aligned with ``neighbor_lists[i]``;
     ``diag[i]`` is w_ii.  ``w_bar`` is max_i w_ii and ``lambda2`` the
     second largest eigenvalue of W in modulus.
+
+    ``idx`` and ``wt`` are the same weights as a read-only (N, dmax)
+    neighbor table, dmax the largest degree: row i lists
+    ``neighbor_lists[i]`` in order, then pads with i itself at weight 0.0.
     """
 
     node_count: int
@@ -74,6 +79,8 @@ class MixingMatrix:
     diag: np.ndarray
     w_bar: float
     lambda2: float
+    idx: np.ndarray = field(repr=False)
+    wt: np.ndarray = field(repr=False)
 
     def weight(self, i, j):
         if i == j:
@@ -92,11 +99,7 @@ class MixingMatrix:
         return np.array([len(nb) for nb in self.neighbor_lists])
 
     def to_dense(self):
-        W = np.zeros((self.node_count, self.node_count))
-        for i, (nbrs, ws) in enumerate(zip(self.neighbor_lists, self.off_diag)):
-            W[i, list(nbrs)] = ws
-            W[i, i] = self.diag[i]
-        return W
+        return _dense(self.idx, self.wt, self.diag)
 
     def validate(self, tol=1e-12):
         W = self.to_dense()
@@ -154,14 +157,34 @@ def generate_geometric_graph(N, seed, max_attempts=1000):
         f"no connected geometric graph for N={N} within {max_attempts} attempts from seed {seed}")
 
 
-def _build_mixing(node_count, neighbor_lists, off, diag):
-    dense = np.zeros((node_count, node_count))
+def _neighbor_table(neighbor_lists, off):
+    """Padded (idx, wt): padding slots point at the row's own node with weight 0."""
+    N = len(neighbor_lists)
+    dmax = max(len(nb) for nb in neighbor_lists)
+    idx = np.repeat(np.arange(N)[:, None], dmax, axis=1)
+    wt = np.zeros((N, dmax))
     for i, (nbrs, ws) in enumerate(zip(neighbor_lists, off)):
-        dense[i, list(nbrs)] = ws
-        dense[i, i] = diag[i]
-    lam2 = _second_modulus(dense)
+        idx[i, :len(nbrs)] = nbrs
+        wt[i, :len(nbrs)] = ws
+    idx.setflags(write=False)
+    wt.setflags(write=False)
+    return idx, wt
+
+
+def _dense(idx, wt, diag):
+    N = len(diag)
+    W = np.zeros((N, N))
+    W[np.arange(N)[:, None], idx] = wt
+    # after the table: padding slots wrote 0.0 onto the diagonal
+    W[np.arange(N), np.arange(N)] = diag
+    return W
+
+
+def _build_mixing(node_count, neighbor_lists, off, diag):
+    idx, wt = _neighbor_table(neighbor_lists, off)
     return MixingMatrix(node_count, neighbor_lists, tuple(off), diag,
-                        w_bar=float(diag.max()), lambda2=lam2)
+                        w_bar=float(diag.max()),
+                        lambda2=_second_modulus(_dense(idx, wt, diag)), idx=idx, wt=wt)
 
 
 def metropolis_weights(g: Graph) -> MixingMatrix:
@@ -184,17 +207,25 @@ def _second_modulus(dense_w):
     return float(max(abs(ev[0]), abs(ev[-2])))
 
 
-def spectral_gap(w: MixingMatrix) -> float:
-    """Second largest eigenvalue of W in modulus (dense symmetric eig).
+def gather(w: MixingMatrix, Z, weights=None, acc=None):
+    """acc_i + sum_k weights[i, k] Z[idx[i, k]] for every node i at once.
 
-    The Perron eigenvalue 1 is excluded; 1.0 is returned (not raised) on
-    degenerate bipartite-like cases, and the caller decides.
+    ``Z`` is an (N, n) block array and ``weights`` an (N, dmax) array
+    aligned with the neighbor table (default ``w.wt``; pass signed
+    weights to subtract).  Columns are added one at a time in neighbor
+    order, starting from ``acc`` (or from the first column), so row i is
+    the same sum, in the same order, as a loop over ``neighbor_lists[i]``.
+    Row i reads only rows of Z in node i's neighborhood.
     """
-    return _second_modulus(w.to_dense())
+    weights = w.wt if weights is None else weights
+    terms = Z[w.idx] * weights[:, :, None]
+    for k in range(terms.shape[1]):
+        acc = terms[:, k] if acc is None else acc + terms[:, k]
+    return acc
 
 
 def laplacian_quadratic(w: MixingMatrix, x) -> float:
-    """Disagreement x^T (I - W (x) I) x via neighbor lists.
+    """Disagreement x^T (I - W (x) I) x over the neighbor table.
 
     Computed as (1/2) sum_i sum_{j in O_i} w_ij ||x_i - x_j||^2, which is
     exactly zero on consensus vectors and nonnegative term by term.
@@ -203,24 +234,14 @@ def laplacian_quadratic(w: MixingMatrix, x) -> float:
     if x.size % w.node_count != 0:
         raise ValueError(f"vector of size {x.size} does not split into {w.node_count} blocks")
     X = x.reshape(w.node_count, -1)
-    total = 0.0
-    for i in range(w.node_count):
-        for k, j in enumerate(w.neighbor_lists[i]):
-            d = X[i] - X[j]
-            total += w.off_diag[i][k] * float(d @ d)
-    return 0.5 * total
+    D = X[:, None, :] - X[w.idx]
+    return 0.5 * float(np.sum(w.wt * (D * D).sum(axis=2)))
 
 
 def laplacian_apply(w: MixingMatrix, X):
     """(I - W (x) I) x on a (N, n) block array; used for residual metrics."""
     X = np.asarray(X, dtype=float)
-    out = np.empty_like(X)
-    for i in range(w.node_count):
-        acc = (1.0 - w.diag[i]) * X[i]
-        for k, j in enumerate(w.neighbor_lists[i]):
-            acc = acc - w.off_diag[i][k] * X[j]
-        out[i] = acc
-    return out
+    return gather(w, X, weights=-w.wt, acc=(1.0 - w.diag)[:, None] * X)
 
 
 def network_to_json(g: Graph, w: MixingMatrix | None = None) -> str:

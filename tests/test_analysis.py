@@ -103,6 +103,14 @@ class TestErrorMetrics:
             naive = np.mean([problem.global_objective(X[i]) for i in range(5)])
             assert error_v(X.reshape(-1), problem) == pytest.approx(naive, rel=1e-12)
 
+    def test_quadratic_closed_form_at_scale_and_at_the_optimum(self):
+        p = generate_quadratic(100, 10, seed=10)
+        X = np.random.default_rng(4).standard_normal((100, 10)) * 10.0
+        naive = np.mean([p.global_objective(X[i]) for i in range(100)])
+        assert error_v(X.reshape(-1), p) == pytest.approx(naive, rel=1e-12)
+        o = oracle_quadratic(p)
+        assert error_v(np.tile(o.y_star, 100), p) == pytest.approx(o.f_star, rel=1e-12)
+
     def test_logistic_value_at_origin(self):
         p = generate_logistic(4, 24, 3, seed=7, mu=1e-2)
         assert error_v(np.zeros(12), p) == pytest.approx(24 * math.log(2), rel=1e-12)

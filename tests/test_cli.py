@@ -136,6 +136,14 @@ class TestRun:
                            out=str(tmp_path / "t.csv"))
         assert main(["run", "--config", cfg]) == 1
 
+    def test_negative_budget_is_config_error(self, tmp_path, capsys):
+        for key in ("rounds", "outer", "scalar_products"):
+            cfg = base_config(tmp_path, budget={key: -5})
+            assert main(["run", "--config", cfg]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: budget limit {key} must be nonnegative, got -5\n"
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_divergence_exit_code(self, tmp_path):
         # DIGing with 1/(10 L) diverges on this instance (measured)
         cfg = write_config(tmp_path / "d.json",

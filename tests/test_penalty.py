@@ -144,6 +144,7 @@ class TestJorStep:
         # no neighbors contribute: q = 1 lands on D^{-1} c in one step
         w = metropolis_weights(Graph(2, ((1,), (0,))))
         object.__setattr__(w, "off_diag", (np.array([0.0]), np.array([0.0])))
+        object.__setattr__(w, "wt", np.zeros((2, 1)))
         object.__setattr__(w, "diag", np.array([1.0, 1.0]))
         p = QuadraticProblem(np.array([[[4.0]], [[5.0]]]), np.array([[2.0], [1.0]]))
         sub = assemble_quadratic(p, w, theta=3.0, q=1.0)
@@ -185,6 +186,17 @@ class TestPenaltyGradient:
             g, _ = penalty_gradient(sub, z)
             np.testing.assert_allclose(g, A @ z - c, atol=1e-12)
 
+    def test_equals_the_per_node_loop(self):
+        for seed in range(5):
+            sub, _, w, _ = random_instance(seed, N=12, n=4)
+            Z = np.random.default_rng(seed).standard_normal((12, 4))
+            g, _ = penalty_gradient(sub, Z)
+            for i in range(12):
+                acc = sub.A_self[i] @ Z[i]
+                for k, j in enumerate(w.neighbor_lists[i]):
+                    acc = acc - (sub.theta * w.off_diag[i][k]) * Z[j]
+                assert np.array_equal(g[i], acc - sub.c[i])
+
 
 class TestContraction:
     def test_two_node_norm(self):
@@ -205,6 +217,7 @@ class TestContraction:
     def test_zero_iteration_matrix_floors(self):
         w = metropolis_weights(Graph(2, ((1,), (0,))))
         object.__setattr__(w, "off_diag", (np.array([0.0]), np.array([0.0])))
+        object.__setattr__(w, "wt", np.zeros((2, 1)))
         object.__setattr__(w, "diag", np.array([1.0, 1.0]))
         p = QuadraticProblem(np.array([[[4.0]], [[5.0]]]), np.zeros((2, 1)))
         sub = assemble_quadratic(p, w, theta=1.0, q=1.0)

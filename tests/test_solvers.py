@@ -1,21 +1,22 @@
 import functools
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from efix import penalty
-from efix.analysis import oracle_logistic, oracle_quadratic
-from efix.penalty import (assemble_quadratic, chebyshev_plan, chebyshev_step,
-                          relaxation_bound, relaxed)
+from efix.analysis import max_node_error, oracle_logistic, oracle_quadratic
+from efix.penalty import (assemble_model, assemble_quadratic, chebyshev_plan,
+                          chebyshev_step, penalty_gradient, relaxation_bound, relaxed)
 from efix.problems import (QuadraticProblem, constants_for, generate_logistic,
                            generate_quadratic, quadratic_constants, stacked_gradient)
 from efix.simnet import (CostLedger, NodeRuntime, apply_updates, collect_payloads,
                          deliver, gather_state, run_round)
-from efix.solvers import (Budget, Schedule, _efix_cheb_update, _efix_node_blocks,
-                          cbar, diging, efix_g, efix_q, efix_q_stopping,
-                          epsilon_balance, inner_count)
+from efix.solvers import (Budget, OuterRecord, Schedule, Trace, _diging_update_factory,
+                          _efix_cheb_update, _efix_node_blocks, _emit, cbar, diging,
+                          efix_g, efix_q, efix_q_stopping, epsilon_balance, inner_count)
 from efix.topology import Graph, generate_geometric_graph, laplacian_apply, metropolis_weights
 
 
@@ -188,9 +189,13 @@ class TestEfixQ:
         p, w, consts = random_setup(8)
         a = efix_q(p, w, Schedule(theta0=2 * consts.L, q_safety=0.99), Budget(outer=3))
         b = efix_q(p, w, Schedule(theta0=2 * consts.L, q_safety=0.3), Budget(outer=3))
-        assert [o.q for o in a.outer] != [o.q for o in b.outer]
         assert a.records == b.records
         np.testing.assert_array_equal(a.x_final, b.x_final)
+        # the stage records carry the relaxation the rounds swept with
+        assert [o.q for o in a.outer] == [o.q for o in b.outer]
+        for rec in a.outer:
+            sub = assemble_quadratic(p, w, rec.theta, 0.5)
+            assert rec.q == chebyshev_plan(sub, consts.mu).q
 
     def test_no_dense_operator_and_no_fallback_warning(self, monkeypatch):
         # six factorial stages reach theta = 240 L, where plain JOR's dense
@@ -403,6 +408,21 @@ class TestDiging:
         with pytest.raises(ValueError):
             diging(p, w, alpha=0.01, budget=Budget(outer=3))
 
+    def test_general_variant_takes_one_gradient_per_node_per_round(self, monkeypatch):
+        p = generate_logistic(4, 32, 3, seed=3, mu=1e-2)
+        w = metropolis_weights(generate_geometric_graph(4, 17))
+        oracle = oracle_logistic(p)
+        calls = []
+        gradient = type(p).local_gradient
+
+        def counted(self, i, y):
+            calls.append(i)
+            return gradient(self, i, y)
+
+        monkeypatch.setattr(type(p), "local_gradient", counted)
+        diging(p, w, alpha=0.05, budget=Budget(rounds=25), oracle=oracle)
+        assert len(calls) == 4 * (25 + 1)
+
 
 class TestChebyshevRound:
     """The EFIX node update: locality, determinism and its message count."""
@@ -483,3 +503,129 @@ class TestChebyshevRound:
         new = _efix_cheb_update(nodes[0], inboxes[0], plan.weight(3))
         assert set(new) == {"z", "z_prev"}
         np.testing.assert_array_equal(new["z_prev"], z0[0])
+
+
+def engine_replay_efix(problem, w, trace, oracle, record_rounds=True):
+    """An EFIX trace replayed stage by stage on the message engine.
+
+    Each stage starts from the engine's own state and runs the trace's
+    k_run rounds through ``run_round`` with the node update
+    ``_efix_cheb_update``; rows and stage records are rebuilt from it.
+    """
+    N, n = problem.node_count, problem.dim
+    consts = constants_for(problem)
+    nodes = [NodeRuntime(i, w.neighbor_lists[i], {"z": np.zeros(n)}) for i in range(N)]
+    ledger = CostLedger(w.degrees())
+    ref = Trace(algo=trace.algo, problem_hash=trace.problem_hash, node_count=N, dim=n)
+    W_dense = w.to_dense()
+    for rec in trace.outer:
+        X = gather_state(nodes, "z").reshape(N, n)
+        sub = assemble_model(problem, X, w, rec.theta, rec.q)
+        if problem.family != "quadratic":
+            ledger.charge_local(np.array([len(J) + 2 * n for J in problem.partition]))
+        plan = chebyshev_plan(sub, consts.mu)
+        sweep = relaxed(sub, plan.q)
+        for i, nd in enumerate(nodes):
+            nd.blocks = _efix_node_blocks(sweep, w, i)
+            nd.state["z_prev"] = nd.state["z"]
+        _emit(ref, ledger, X, rec.s, rec.theta, rec.epsilon, problem, oracle, W_dense)
+        for k in range(rec.k_run):
+            update = functools.partial(_efix_cheb_update, omega=plan.weight(k))
+            assert run_round(nodes, ("z",), update, ledger, 2 * n + 3, 1)
+            if record_rounds:
+                _emit(ref, ledger, gather_state(nodes, "z").reshape(N, n), rec.s,
+                      rec.theta, rec.epsilon, problem, oracle, W_dense)
+        Xs = gather_state(nodes, "z")
+        _, gn = penalty_gradient(sub, Xs)
+        ref.outer.append(OuterRecord(
+            s=rec.s, theta=rec.theta, epsilon=rec.epsilon, q=plan.q, rho=plan.rate,
+            k_planned=rec.k_planned, k_run=rec.k_run, grad_norm=gn,
+            error_max=max_node_error(Xs, oracle)))
+    ref.x_final = gather_state(nodes, "z")
+    return ref
+
+
+def engine_replay_diging(problem, w, alpha, variant, trace, oracle):
+    """A DIGing trace replayed round by round on the message engine."""
+    N, n = problem.node_count, problem.dim
+    nodes = []
+    for i in range(N):
+        blocks = {"w_self": float(w.diag[i]), "w_off": w.off_diag[i]}
+        if variant == "quadratic":
+            blocks["B"] = problem.B[i]
+        x0 = np.zeros(n)
+        nodes.append(NodeRuntime(i, w.neighbor_lists[i],
+                                 {"x": x0, "u": problem.local_gradient(i, x0)}, blocks))
+    ledger = CostLedger(w.degrees())
+    ref = Trace(algo="diging", problem_hash=trace.problem_hash, node_count=N, dim=n)
+    W_dense = w.to_dense()
+    if problem.family == "quadratic":
+        sp_round = 3 * n
+    else:
+        sp_round = np.array([3 * n + len(J) for J in problem.partition])
+    update = _diging_update_factory(problem, alpha, variant)
+    _emit(ref, ledger, np.zeros((N, n)), 0, None, None, problem, oracle, W_dense)
+    for _ in range(len(trace.records) - 1):
+        assert run_round(nodes, ("x", "u"), update, ledger, sp_round, 2)
+        _emit(ref, ledger, gather_state(nodes, "x").reshape(N, n), 0, None, None,
+              problem, oracle, W_dense)
+    ref.x_final = gather_state(nodes, "x")
+    return ref
+
+
+class TestStackedRoundsEqualTheEngine:
+    """The solvers' stacked rounds, bit for bit against the message engine.
+
+    numpy does not promise that a batched matmul rounds like the per-node
+    matrix-vector product, so these replays are what pin it.
+    """
+
+    def assert_same(self, trace, ref):
+        assert np.array_equal(trace.x_final, ref.x_final)
+        assert len(trace.records) == len(ref.records)
+        for a, b in zip(trace.records, ref.records):
+            assert np.array_equal(astuple(a), astuple(b))
+        assert trace.outer == ref.outer
+
+    @pytest.mark.parametrize("N, n, seed, budget", [
+        (8, 3, 21, Budget(outer=4)),
+        (30, 10, 22, Budget(rounds=400)),
+    ])
+    def test_efix_q(self, N, n, seed, budget):
+        p, w, consts = random_setup(seed, N=N, n=n)
+        oracle = oracle_quadratic(p)
+        for record_rounds in (True, False):
+            tr = efix_q(p, w, Schedule(theta0=2 * consts.L), budget, oracle=oracle,
+                        record_rounds=record_rounds)
+            self.assert_same(tr, engine_replay_efix(p, w, tr, oracle, record_rounds))
+
+    def test_efix_q_stopping(self):
+        p, w, consts = random_setup(23, N=20, n=4)
+        oracle = oracle_quadratic(p)
+        tr = efix_q_stopping(p, w, Schedule(theta0=2 * consts.L), Budget(rounds=300),
+                             oracle=oracle)
+        # the budget ends the last stage; every earlier one ends on the test
+        assert all(rec.grad_norm <= rec.epsilon for rec in tr.outer[:-1])
+        assert tr.outer[-1].grad_norm > tr.outer[-1].epsilon
+        self.assert_same(tr, engine_replay_efix(p, w, tr, oracle))
+
+    def test_efix_g_logistic(self):
+        p = generate_logistic(6, 48, 3, seed=24, mu=1e-2)
+        w = metropolis_weights(generate_geometric_graph(6, 25))
+        oracle = oracle_logistic(p)
+        tr = efix_g(p, w, Schedule(theta0=2 * constants_for(p).L, q_mode="per_stage"),
+                    Budget(outer=3), oracle=oracle)
+        self.assert_same(tr, engine_replay_efix(p, w, tr, oracle))
+
+    def test_diging(self):
+        p, w, consts = random_setup(26, N=12, n=4)
+        pl = generate_logistic(6, 48, 3, seed=27, mu=1e-2)
+        wl = metropolis_weights(generate_geometric_graph(6, 28))
+        for problem, net, variant, alpha in (
+                (p, w, "quadratic", 1 / (10 * consts.L)),
+                (p, w, "general", 1 / (10 * consts.L)),
+                (pl, wl, "general", 1 / (10 * constants_for(pl).L))):
+            oracle = (oracle_quadratic if problem is p else oracle_logistic)(problem)
+            tr = diging(problem, net, alpha, Budget(rounds=150), variant=variant,
+                        oracle=oracle)
+            self.assert_same(tr, engine_replay_diging(problem, net, alpha, variant, tr, oracle))

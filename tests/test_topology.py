@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from efix.topology import (Graph, GraphGenerationError, generate_geometric_graph,
+from efix.topology import (Graph, GraphGenerationError, gather, generate_geometric_graph,
                            geometric_edges, graph_from_json, laplacian_apply,
                            laplacian_quadratic, metropolis_weights, mixing_from_json,
-                           network_to_json, spectral_gap)
+                           network_to_json)
 
 
 def path3():
@@ -108,20 +108,65 @@ class TestMetropolisWeights:
 class TestSpectralGap:
     def test_triangle_eigenvalues(self):
         # spectrum {1, -1/2, -1/2}
-        assert spectral_gap(metropolis_weights(triangle())) == pytest.approx(0.5, abs=1e-12)
+        assert metropolis_weights(triangle()).lambda2 == pytest.approx(0.5, abs=1e-12)
 
     def test_complete_graph(self):
         # W = (J - I)/3 + ... has spectrum {1, -1/3, -1/3, -1/3}
-        assert spectral_gap(metropolis_weights(complete(4))) == pytest.approx(1 / 3, abs=1e-12)
+        assert metropolis_weights(complete(4)).lambda2 == pytest.approx(1 / 3, abs=1e-12)
 
     def test_path_eigenvalues(self):
         # spectrum {1, 1/2, -1/2}
-        assert spectral_gap(metropolis_weights(path3())) == pytest.approx(0.5, abs=1e-12)
+        assert metropolis_weights(path3()).lambda2 == pytest.approx(0.5, abs=1e-12)
 
     def test_bipartite_returns_one(self):
         # two nodes joined by one edge: W = [[0,1],[1,0]], eigenvalues {1,-1}
         w = metropolis_weights(Graph(2, ((1,), (0,))))
-        assert spectral_gap(w) == pytest.approx(1.0, abs=1e-12)
+        assert w.lambda2 == pytest.approx(1.0, abs=1e-12)
+
+
+class TestNeighborTable:
+    def test_rows_follow_neighbor_lists_then_pad_with_self(self):
+        for g in (star4(), path3(), generate_geometric_graph(30, 1)):
+            w = metropolis_weights(g)
+            dmax = max(len(nb) for nb in g.neighbor_lists)
+            assert w.idx.shape == w.wt.shape == (g.node_count, dmax)
+            for i, nbrs in enumerate(g.neighbor_lists):
+                d = len(nbrs)
+                assert list(w.idx[i]) == list(nbrs) + [i] * (dmax - d)
+                assert np.array_equal(w.wt[i, :d], w.off_diag[i])
+                assert np.all(w.wt[i, d:] == 0.0)
+            assert not (w.idx.flags.writeable or w.wt.flags.writeable)
+
+    def test_gather_reads_only_the_neighborhood(self):
+        w = metropolis_weights(generate_geometric_graph(30, 1))
+        rng = np.random.default_rng(4)
+        Z = rng.standard_normal((30, 5))
+        base = gather(w, Z, acc=w.diag[:, None] * Z)
+        for i in range(30):
+            outside = np.ones(30, dtype=bool)
+            outside[list(w.neighbor_lists[i]) + [i]] = False
+            Z2 = Z.copy()
+            Z2[outside] = 1e30 * rng.standard_normal((int(outside.sum()), 5))
+            assert np.array_equal(gather(w, Z2, acc=w.diag[:, None] * Z2)[i], base[i])
+
+    def test_gather_equals_the_neighbor_loop(self):
+        w = metropolis_weights(generate_geometric_graph(30, 2))
+        Z = np.random.default_rng(5).standard_normal((30, 4))
+        signed = -(3.0 * w.wt)
+        for weights, scale in ((None, 1.0), (signed, -3.0)):
+            out = gather(w, Z, weights=weights, acc=Z)
+            for i in range(30):
+                acc = Z[i]
+                for k, j in enumerate(w.neighbor_lists[i]):
+                    acc = acc + (scale * w.off_diag[i][k]) * Z[j]
+                assert np.array_equal(out[i], acc)
+
+    def test_dense_matches_the_lists(self):
+        w = metropolis_weights(star4())
+        W = w.to_dense()
+        for i in range(4):
+            for j in range(4):
+                assert W[i, j] == w.weight(i, j)
 
 
 class TestLaplacianQuadratic:
