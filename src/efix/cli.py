@@ -24,6 +24,8 @@ TRACE_COLUMNS = ["round", "outer_s", "theta", "epsilon", "error_e", "error_v",
 
 ALGORITHMS = ("efix-q", "efix-g", "efix-q-stopping", "diging")
 
+_SCHEDULE_KEYS = ("theta0", "theta0_multiplier", "theta_rule", "eps_rule", "eps0")
+
 
 class ConfigError(ValueError):
     pass
@@ -96,19 +98,23 @@ def resolve_problem(cfg):
     raise ConfigError(f"unknown problem family {family!r}")
 
 
-def resolve_schedule(cfg, consts, algo):
+def resolve_schedule(cfg, consts):
     spec = cfg.get("schedule", {})
-    if "theta0" in spec:
-        theta0 = float(spec["theta0"])
-    else:
-        theta0 = float(spec.get("theta0_multiplier", 2.0)) * consts.L
-    q_mode = spec.get("q_mode", "per_stage" if algo == "efix-g" else "fixed")
-    return solvers.Schedule(theta0=theta0,
-                            theta_rule=spec.get("theta_rule", "factorial"),
-                            eps_rule=spec.get("eps_rule", "balance"),
-                            eps0=spec.get("eps0"),
-                            q_mode=q_mode,
-                            q_safety=float(spec.get("q_safety", 0.99)))
+    unknown = [key for key in spec if key not in _SCHEDULE_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown schedule field {', '.join(map(repr, unknown))}; "
+                          f"choose from {', '.join(_SCHEDULE_KEYS)}")
+    try:
+        if "theta0" in spec:
+            theta0 = float(spec["theta0"])
+        else:
+            theta0 = float(spec.get("theta0_multiplier", 2.0)) * consts.L
+        return solvers.Schedule(theta0=theta0,
+                                theta_rule=spec.get("theta_rule", "factorial"),
+                                eps_rule=spec.get("eps_rule", "balance"),
+                                eps0=spec.get("eps0"))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def resolve_budget(cfg):
@@ -179,7 +185,7 @@ def cmd_run(cfg):
         m = int(cfg.get("algorithm", {}).get("m", 10))
         trace = solvers.diging(problem, w, alpha=1.0 / (m * consts.L), budget=budget)
     else:
-        sched = resolve_schedule(cfg, consts, algo)
+        sched = resolve_schedule(cfg, consts)
         fn = {"efix-q": solvers.efix_q, "efix-g": solvers.efix_g,
               "efix-q-stopping": solvers.efix_q_stopping}[algo]
         trace = fn(problem, w, sched, budget)

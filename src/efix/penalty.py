@@ -14,7 +14,7 @@ relaxation, the extrapolation weights and a certified rate.
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,24 +27,24 @@ class NonContractiveError(RuntimeError):
 
 @dataclass
 class PenaltySubproblem:
-    """Assembled blocks of A x = c and the JOR step data for one theta.
+    """Assembled blocks of A x = c for one theta, and its JOR splitting.
 
-    ``A_self[i]`` is the diagonal block H_i + theta (1 - w_ii) I, ``d[i]``
-    its diagonal, ``M_self[i]`` the corresponding JOR self block, ``p[i]``
-    the offset q D_ii^{-1} c_i.  Neighbor coupling is implicit:
+    ``A_self[i]`` is the diagonal block H_i + theta (1 - w_ii) I and ``d[i]``
+    its diagonal.  The JOR fields are ``None`` until ``relaxed`` sets them:
+    the relaxation ``q``, the self blocks ``M_self[i]`` and the offsets
+    ``p[i]`` = q D_ii^{-1} c_i.  Neighbor coupling is implicit:
     M_ij x_j = q theta w_ij D_ii^{-1} x_j.
     """
 
     theta: float
-    q: float
     w: MixingMatrix
     A_self: np.ndarray   # (N, n, n)
     d: np.ndarray        # (N, n) positive diagonals
     dinv: np.ndarray
-    M_self: np.ndarray
-    p: np.ndarray        # (N, n)
     c: np.ndarray        # (N, n)
-    rho: float = field(default=None)
+    q: float | None = None
+    M_self: np.ndarray | None = None
+    p: np.ndarray | None = None   # (N, n)
 
     @property
     def node_count(self):
@@ -55,7 +55,7 @@ class PenaltySubproblem:
         return self.A_self.shape[1]
 
 
-def assemble(h_blocks, c_blocks, w: MixingMatrix, theta, q) -> PenaltySubproblem:
+def assemble(h_blocks, c_blocks, w: MixingMatrix, theta) -> PenaltySubproblem:
     """Build the subproblem from local Hessian blocks and right-hand sides."""
     if theta <= 0:
         raise ValueError("theta must be positive")
@@ -71,36 +71,28 @@ def assemble(h_blocks, c_blocks, w: MixingMatrix, theta, q) -> PenaltySubproblem
         d[i] = np.diag(A_self[i])
         if np.any(d[i] <= 0):
             raise ValueError(f"nonpositive diagonal in block {i}; input violates strong convexity")
-    M_self, p = _jor_blocks(A_self, d, c, q)
-    return PenaltySubproblem(theta=float(theta), q=float(q), w=w, A_self=A_self,
-                             d=d, dinv=1.0 / d, M_self=M_self, p=p, c=c)
-
-
-def _jor_blocks(A_self, d, c, q):
-    """JOR self blocks q D_i^{-1} (D_i - A_ii) + (1 - q) I and offsets q D_i^{-1} c_i."""
-    I = np.eye(A_self.shape[1])
-    M_self = np.empty_like(A_self)
-    for i in range(A_self.shape[0]):
-        M_self[i] = q * ((np.diag(d[i]) - A_self[i]) / d[i][:, None]) + (1.0 - q) * I
-    return M_self, q * c / d
+    return PenaltySubproblem(theta=float(theta), w=w, A_self=A_self, d=d, dinv=1.0 / d, c=c)
 
 
 def relaxed(sub: PenaltySubproblem, q) -> PenaltySubproblem:
-    """The same system with its JOR splitting re-relaxed to q.
+    """The same system with its JOR splitting at relaxation q.
 
-    Bitwise equal to assembling the system at q in the first place.
+    Self blocks q D_i^{-1} (D_i - A_ii) + (1 - q) I and offsets q D_i^{-1} c_i.
     """
-    M_self, p = _jor_blocks(sub.A_self, sub.d, sub.c, q)
-    return replace(sub, q=float(q), M_self=M_self, p=p, rho=None)
+    I = np.eye(sub.dim)
+    M_self = np.empty_like(sub.A_self)
+    for i in range(sub.node_count):
+        M_self[i] = q * ((np.diag(sub.d[i]) - sub.A_self[i]) / sub.d[i][:, None]) + (1.0 - q) * I
+    return replace(sub, q=float(q), M_self=M_self, p=q * sub.c / sub.d)
 
 
 def assemble_quadratic(problem, w: MixingMatrix, theta, q) -> PenaltySubproblem:
-    """Subproblem of the quadratic family: H_i = B_ii, c_i = B_ii b_i."""
+    """Subproblem of the quadratic family, H_i = B_ii and c_i = B_ii b_i, relaxed to q."""
     pairs = [problem.model_terms(i, None) for i in range(problem.node_count)]
-    return assemble([H for H, _ in pairs], [ci for _, ci in pairs], w, theta, q)
+    return relaxed(assemble([H for H, _ in pairs], [ci for _, ci in pairs], w, theta), q)
 
 
-def assemble_model(problem, x_prev, w: MixingMatrix, theta, q) -> PenaltySubproblem:
+def assemble_model(problem, x_prev, w: MixingMatrix, theta) -> PenaltySubproblem:
     """Subproblem of the quadratic model built at the stacked point x_prev.
 
     H_i = local Hessian at x_prev_i and c_i = H_i x_prev_i - grad f_i(x_prev_i);
@@ -108,11 +100,16 @@ def assemble_model(problem, x_prev, w: MixingMatrix, theta, q) -> PenaltySubprob
     """
     X = np.asarray(x_prev, dtype=float).reshape(problem.node_count, -1)
     pairs = [problem.model_terms(i, X[i]) for i in range(problem.node_count)]
-    return assemble([H for H, _ in pairs], [ci for _, ci in pairs], w, theta, q)
+    return assemble([H for H, _ in pairs], [ci for _, ci in pairs], w, theta)
 
 
 def relaxation_bound(theta, L, w_bar):
-    """Upper endpoint 2 theta (1 - w_bar) / (L + 2 theta) of the safe q interval."""
+    """Upper endpoint 2 theta (1 - w_bar) / (L + 2 theta) of plain JOR's safe q interval.
+
+    The relaxation of the paper's unaccelerated JOR, which acceptance
+    criteria 1, 2 and 9 check; the solvers sweep at the Chebyshev plan's
+    q instead and never call this.
+    """
     if theta <= 0 or L <= 0 or not (0 <= w_bar < 1):
         raise ValueError("need theta > 0, L > 0, w_bar in [0, 1)")
     return 2.0 * theta * (1.0 - w_bar) / (L + 2.0 * theta)
@@ -176,7 +173,7 @@ def dense_system(sub: PenaltySubproblem):
 
 
 def dense_iteration_matrix(sub: PenaltySubproblem):
-    """The dense JOR matrix M = q D^{-1} (D - A) + (1 - q) I."""
+    """The dense JOR matrix M = q D^{-1} (D - A) + (1 - q) I of a relaxed subproblem."""
     A, _ = dense_system(sub)
     dinv = sub.dinv.reshape(-1)
     return np.eye(A.shape[0]) - sub.q * (dinv[:, None] * A)
@@ -200,9 +197,7 @@ def contraction_estimate(sub: PenaltySubproblem) -> float:
                 f"q={sub.q:.6g} lies outside the convergence region")
         warnings.warn(f"spectral norm {rho:.6g} >= 1; falling back to spectral radius {sr:.6g}")
         rho = sr
-    rho = max(rho, 1e-12)
-    sub.rho = rho
-    return rho
+    return max(rho, 1e-12)
 
 
 @dataclass(frozen=True)

@@ -29,17 +29,15 @@ DIVERGENCE_CEILING = 1e12
 
 @dataclass(frozen=True)
 class Schedule:
-    """Rules producing theta_s, eps_s and q(s) for the outer loop.
+    """Rules producing theta_s and eps_s for the outer loop.
 
     theta_rule "factorial" grows theta_{s+1} = (s+1) theta_s; "linear"
     uses theta_s = (s+1) theta0 (with theta0 = 1 the stage penalties are
     1, 2, 3, ...).  eps_rule "balance" matches the inner tolerance to the
     penalty approximation error; "reciprocal" uses eps0 / s with eps0
-    defaulting to theta0.  q is a safety fraction of the relaxation bound,
-    evaluated either once at theta0 ("fixed") or per stage ("per_stage");
-    it sets the assembled JOR splitting only: the Chebyshev rounds re-relax
-    the sweep to their own q = 2 / (a + b), so it changes neither the
-    iterates nor ``OuterRecord.q``.
+    defaulting to theta0.  ``q_mode`` and ``q_safety`` are accepted and
+    ignored: each stage's Chebyshev rounds sweep at their own relaxation
+    q = 2 / (a + b), so no schedule value sets q.
     """
 
     theta0: float
@@ -49,13 +47,17 @@ class Schedule:
     q_mode: str = "fixed"
     q_safety: float = 0.99
 
+    def __post_init__(self):
+        if self.theta_rule not in ("factorial", "linear"):
+            raise ValueError(f"unknown theta rule {self.theta_rule!r}")
+        if self.eps_rule not in ("balance", "reciprocal"):
+            raise ValueError(f"unknown eps rule {self.eps_rule!r}")
+
     def theta_at(self, s):
         if self.theta_rule == "factorial":
             th = self.theta0 * math.factorial(s)
-        elif self.theta_rule == "linear":
-            th = self.theta0 * (s + 1)
         else:
-            raise ValueError(f"unknown theta rule {self.theta_rule!r}")
+            th = self.theta0 * (s + 1)
         if not math.isfinite(th):
             raise OverflowError(f"theta overflowed at stage {s}")
         return th
@@ -63,14 +65,8 @@ class Schedule:
     def epsilon_at(self, s, consts, lambda2):
         if self.eps_rule == "balance":
             return epsilon_balance(self.theta_at(s), consts, lambda2)
-        if self.eps_rule == "reciprocal":
-            eps0 = self.theta0 if self.eps0 is None else self.eps0
-            return eps0 if s == 0 else eps0 / s
-        raise ValueError(f"unknown eps rule {self.eps_rule!r}")
-
-    def q_at(self, s, L, w_bar):
-        th = self.theta0 if self.q_mode == "fixed" else self.theta_at(s)
-        return self.q_safety * penalty.relaxation_bound(th, L, w_bar)
+        eps0 = self.theta0 if self.eps0 is None else self.eps0
+        return eps0 if s == 0 else eps0 / s
 
 
 @dataclass(frozen=True)
@@ -171,19 +167,15 @@ def inner_count(eps_prev, eps_target, theta, rho, cbar_sum, L, mu, solver_consta
     return math.ceil(abs(num / math.log(rho)))
 
 
-def cbar(problem, x_prev=None, consts=None, exact=False):
-    """Norm bound on the subproblem right-hand side.
+def cbar(problem, consts=None):
+    """Norm bound on the subproblem right-hand side, the same at every stage.
 
-    Quadratic family: the exact ||c|| (constant across stages).  General
-    family: the rough estimate 3 L sqrt(N), or the exact per-stage norm at
-    ``x_prev`` when ``exact`` is set (diagnostics only; nodes cannot know it).
+    Quadratic family: the exact ||c||, with c_i = B_ii b_i for any theta.
+    General family: the rough estimate 3 L sqrt(N); the exact norm moves
+    with the expansion point, which no node knows in full.
     """
     if problem.family == "quadratic":
         c = np.stack([problem.model_terms(i, None)[1] for i in range(problem.node_count)])
-        return float(np.linalg.norm(c))
-    if exact:
-        X = np.asarray(x_prev, dtype=float).reshape(problem.node_count, -1)
-        c = np.stack([problem.model_terms(i, X[i])[1] for i in range(problem.node_count)])
         return float(np.linalg.norm(c))
     if consts is None:
         consts = problems.constants_for(problem)
@@ -233,15 +225,14 @@ def _efix_cheb_update(node, inbox, omega):
             "z_prev": node.state["z"]}
 
 
-def _run_efix(problem, w, sched, budget, algo, stopping=False, cbar_exact=False,
-              oracle=None, x0=None, record_rounds=True):
+def _run_efix(problem, w, sched, budget, algo, stopping=False, oracle=None, x0=None,
+              record_rounds=True):
     N, n = problem.node_count, problem.dim
     if w.node_count != N:
         raise ValueError("network and problem disagree on the node count")
     consts = problems.constants_for(problem)
     oracle = oracle or analysis.solve_reference(problem)
     W_dense = w.to_dense()
-    quadratic = problem.family == "quadratic"
 
     Z = _as_blocks(x0, N, n)
     ledger = simnet.CostLedger(w.degrees())
@@ -252,11 +243,12 @@ def _run_efix(problem, w, sched, budget, algo, stopping=False, cbar_exact=False,
 
     sp_round = 2 * n + 3
     boundary_sp = None
-    if not quadratic:
+    if problem.family != "quadratic":
         boundary_sp = np.array([len(J) + 2 * n for J in problem.partition], dtype=np.int64)
 
+    # the right-hand-side norms of two neighboring stages share one bound
+    cbar_sum = 2.0 * cbar(problem, consts=consts)
     eps_prev = None
-    cb_prev = None
     s = 0
     stop = False
     while not stop:
@@ -266,21 +258,14 @@ def _run_efix(problem, w, sched, budget, algo, stopping=False, cbar_exact=False,
             break
         theta_s = sched.theta_at(s)
         eps_s = sched.epsilon_at(s, consts, w.lambda2)
-        q_s = sched.q_at(s, consts.L, w.w_bar)
 
-        sub = penalty.assemble_model(problem, Z, w, theta_s, q_s)
+        sub = penalty.assemble_model(problem, Z, w, theta_s)
         if boundary_sp is not None:
             ledger.charge_local(boundary_sp)
         plan = penalty.chebyshev_plan(sub, consts.mu)
         sweep = penalty.relaxed(sub, plan.q)
         if eps_prev is None:
             _, eps_prev = penalty.penalty_gradient(sub, Z)
-        if quadratic:
-            cb_s = float(np.linalg.norm(sub.c))
-            cbar_sum = 2.0 * cb_s
-        else:
-            cb_s = cbar(problem, x_prev=Z, consts=consts, exact=cbar_exact)
-            cbar_sum = (cb_s if cb_prev is None else cb_prev) + cb_s
         k_s = None if stopping else inner_count(eps_prev, eps_s, theta_s, plan.rate,
                                                 cbar_sum, consts.L, consts.mu,
                                                 solver_constant=2.0 * plan.C)
@@ -319,7 +304,6 @@ def _run_efix(problem, w, sched, budget, algo, stopping=False, cbar_exact=False,
             k_planned=k_s, k_run=k_run, grad_norm=gn,
             error_max=analysis.max_node_error(Z, oracle)))
         eps_prev = eps_s
-        cb_prev = cb_s if not quadratic else None
         s += 1
     trace.x_final = Z.reshape(-1)
     return trace
@@ -342,15 +326,14 @@ def efix_q(problem, w, sched: Schedule, budget: Budget, oracle=None, x0=None,
 
 
 def efix_g(problem, w, sched: Schedule, budget: Budget, oracle=None, x0=None,
-           cbar_exact=False, record_rounds=True) -> Trace:
+           record_rounds=True) -> Trace:
     """Generic strongly convex variant: re-linearize each outer stage.
 
     Every stage rebuilds the subproblem from the local gradients and
     Hessians at the current iterate.  On a quadratic problem the model is
     the problem itself, so the iterate sequence reproduces efix_q exactly.
     """
-    return _run_efix(problem, w, sched, budget, algo="efix-g",
-                     cbar_exact=cbar_exact, oracle=oracle, x0=x0,
+    return _run_efix(problem, w, sched, budget, algo="efix-g", oracle=oracle, x0=x0,
                      record_rounds=record_rounds)
 
 

@@ -2,6 +2,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from efix.cli import main
 from efix.problems import QuadraticProblem
 from efix.topology import generate_geometric_graph, mixing_from_json
@@ -142,6 +144,19 @@ class TestRun:
             assert main(["run", "--config", cfg]) == 1
             err = capsys.readouterr().err
             assert err == f"error: budget limit {key} must be nonnegative, got -5\n"
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("schedule, message", [
+        ({"q_safety": 5}, "unknown schedule field 'q_safety'"),
+        ({"q_mod": "fixed"}, "unknown schedule field 'q_mod'"),
+        ({"theta_rule": "geometric"}, "unknown theta rule 'geometric'"),
+        ({"eps_rule": "nope"}, "unknown eps rule 'nope'"),
+    ])
+    def test_bad_schedule_is_config_error(self, tmp_path, capsys, schedule, message):
+        cfg = base_config(tmp_path, schedule=schedule)
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / "trace.csv").exists()
 
     def test_divergence_exit_code(self, tmp_path):

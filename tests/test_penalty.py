@@ -64,7 +64,7 @@ class TestAssembly:
     def test_model_of_quadratic_reproduces_quadratic_path(self):
         sub, p, w, L = random_instance(3)
         x = np.random.default_rng(0).standard_normal(p.node_count * p.dim)
-        sub2 = assemble_model(p, x, w, sub.theta, sub.q)
+        sub2 = relaxed(assemble_model(p, x, w, sub.theta), sub.q)
         assert np.array_equal(sub.A_self, sub2.A_self)
         assert np.array_equal(sub.p, sub2.p)
         assert np.array_equal(sub.c, sub2.c)
@@ -74,7 +74,7 @@ class TestAssembly:
         p = LogisticProblem(X, np.array([1.0, -1.0]),
                             [np.array([0, 1]), np.array([], dtype=int)], 0.25)
         w = metropolis_weights(Graph(2, ((1,), (0,))))
-        sub = assemble_model(p, np.zeros(4), w, theta=2.0, q=0.5)
+        sub = assemble_model(p, np.zeros(4), w, theta=2.0)
         # empty node: A_ii = mu I + theta (1 - w_ii) I
         np.testing.assert_allclose(sub.A_self[1], (0.25 + 2.0) * np.eye(2), atol=1e-15)
 
@@ -84,7 +84,7 @@ class TestAssembly:
         g = generate_geometric_graph(4, 5)
         w = metropolis_weights(g)
         x = np.random.default_rng(1).standard_normal(12)
-        sub = assemble_model(p, x, w, theta=3.0, q=0.4)
+        sub = assemble_model(p, x, w, theta=3.0)
         gvec, _ = penalty_gradient(sub, x)
         X = x.reshape(4, 3)
         grads = np.concatenate([p.local_gradient(i, X[i]) for i in range(4)])
@@ -95,7 +95,7 @@ class TestAssembly:
         w = metropolis_weights(Graph(2, ((1,), (0,))))
         H = np.array([[[-5.0]], [[1.0]]])
         with pytest.raises(ValueError, match="diagonal"):
-            assemble(H, np.zeros((2, 1)), w, theta=1.0, q=0.5)
+            assemble(H, np.zeros((2, 1)), w, theta=1.0)
 
 
 class TestRelaxationBound:
@@ -278,8 +278,7 @@ def certificate_cases():
             q = 0.99 * relaxation_bound(mult * L_q, L_q, w.w_bar)
             cases.append((assemble_quadratic(pq, w, mult * L_q, q), mu_q))
             theta = mult * (1 + pl.mu)
-            q = 0.99 * relaxation_bound(theta, 1 + pl.mu, w.w_bar)
-            cases.append((assemble_model(pl, X, w, theta, q), pl.mu))
+            cases.append((assemble_model(pl, X, w, theta), pl.mu))
     return cases
 
 

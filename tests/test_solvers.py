@@ -48,12 +48,6 @@ class TestSchedule:
         assert s.epsilon_at(1, consts, 0.5) == 4.0
         assert s.epsilon_at(4, consts, 0.5) == 1.0
 
-    def test_q_modes(self):
-        s_fixed = Schedule(theta0=2.0, q_mode="fixed", q_safety=0.5)
-        s_per = Schedule(theta0=2.0, q_mode="per_stage", q_safety=0.5)
-        assert s_fixed.q_at(3, 1.0, 0.0) == s_fixed.q_at(0, 1.0, 0.0)
-        assert s_per.q_at(3, 1.0, 0.0) > s_per.q_at(0, 1.0, 0.0)
-
     def test_unknown_rules(self):
         with pytest.raises(ValueError):
             Schedule(theta0=1.0, theta_rule="geometric").theta_at(0)
@@ -126,12 +120,6 @@ class TestCbar:
         val = cbar(p, consts=consts)
         assert val == 3.0 * (1 + 1e-4) * math.sqrt(30)
         assert val == pytest.approx(16.433, abs=1e-3)
-
-    def test_exact_general_at_point(self):
-        p = generate_logistic(4, 20, 3, seed=1, mu=1e-2)
-        X = np.zeros((4, 3))
-        c = np.concatenate([p.model_terms(i, X[i])[1] for i in range(4)])
-        assert cbar(p, x_prev=X, exact=True) == pytest.approx(np.linalg.norm(c), rel=1e-15)
 
 
 class TestEfixQ:
@@ -299,6 +287,36 @@ class TestEfixQStopping:
             last = tr.outer[-1]
             assert last.error_max <= 2 * last.epsilon / consts.mu
         assert planned.records[-1].error_e <= 1e-2
+
+
+class TestStageSetup:
+    def test_assembly_leaves_the_splitting_unset(self):
+        p, w, consts = random_setup(31)
+        sub = assemble_model(p, np.zeros((p.node_count, p.dim)), w, 2 * consts.L)
+        assert sub.q is None and sub.M_self is None and sub.p is None
+
+    def test_each_stage_relaxes_once_at_the_chebyshev_q(self, monkeypatch):
+        calls = []
+
+        def counting(sub, q):
+            calls.append(q)
+            return relax(sub, q)
+
+        relax = penalty.relaxed
+        monkeypatch.setattr(penalty, "relaxed", counting)
+        p, w, consts = random_setup(32)
+        pl = generate_logistic(5, 40, 3, seed=32, mu=1e-2)
+        wl = metropolis_weights(generate_geometric_graph(5, 72))
+        sched = Schedule(theta0=2 * consts.L)
+        for run in (lambda: efix_q(p, w, sched, Budget(outer=4)),
+                    lambda: efix_q_stopping(p, w, sched, Budget(outer=4)),
+                    lambda: efix_g(pl, wl, Schedule(theta0=2 * constants_for(pl).L),
+                                   Budget(outer=4))):
+            calls.clear()
+            tr = run()
+            assert len(tr.outer) == 4
+            assert len(calls) == len(tr.outer)
+            assert calls == [rec.q for rec in tr.outer]
 
 
 class TestEfixG:
@@ -520,7 +538,7 @@ def engine_replay_efix(problem, w, trace, oracle, record_rounds=True):
     W_dense = w.to_dense()
     for rec in trace.outer:
         X = gather_state(nodes, "z").reshape(N, n)
-        sub = assemble_model(problem, X, w, rec.theta, rec.q)
+        sub = assemble_model(problem, X, w, rec.theta)
         if problem.family != "quadratic":
             ledger.charge_local(np.array([len(J) + 2 * n for J in problem.partition]))
         plan = chebyshev_plan(sub, consts.mu)
