@@ -5,30 +5,28 @@ executes one algorithm and writes a trace CSV (plus a sidecar meta file),
 ``compare`` merges traces from the same problem/network into one CSV
 aligned by rounds, scalar products, and vectors sent.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure or
-divergence.
+Exit codes: 0 success, 1 input error (config, files, or usage), 2
+numerical failure or divergence.
 """
 
 import argparse
 import csv
+import dataclasses
 import json
+import numbers
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import problems, solvers, topology
+from . import analysis, problems, solvers, topology
 
-TRACE_COLUMNS = ["round", "outer_s", "theta", "epsilon", "error_e", "error_v",
-                 "consensus_residual", "cum_sp_max", "cum_vectors_sent"]
+TRACE_COLUMNS = [f.name for f in dataclasses.fields(analysis.TraceRecord)]
 
 ALGORITHMS = ("efix-q", "efix-g", "efix-q-stopping", "diging")
 
 _SCHEDULE_KEYS = ("theta0", "theta0_multiplier", "theta_rule", "eps_rule", "eps0")
-
-
-class ConfigError(ValueError):
-    pass
+_SECTIONS = ("problem", "network", "algorithm", "schedule", "budget")
 
 
 def _fmt(v):
@@ -39,25 +37,35 @@ def _fmt(v):
     return repr(float(v))
 
 
+def _number(spec, key, default=None):
+    """``spec[key]`` (``default`` if absent), which must be a real number."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return value
+
+
 def load_config(path, overrides):
     """Read the JSON config and apply flag overrides (flags win)."""
     try:
         cfg = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"cannot read config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path} must be a JSON object")
+    for section in _SECTIONS:
+        if not isinstance(cfg.get(section, {}), dict):
+            raise ValueError(f"config section {section!r} must be a JSON object")
     if overrides.get("out") is not None:
         cfg["out"] = overrides["out"]
-    if overrides.get("algo") is not None:
-        cfg.setdefault("algorithm", {})["name"] = overrides["algo"]
-    if overrides.get("m") is not None:
-        cfg.setdefault("algorithm", {})["m"] = overrides["m"]
+    for flag, section, key in (("algo", "algorithm", "name"), ("m", "algorithm", "m"),
+                               ("seed", "problem", "seed"), ("seed", "network", "seed")):
+        if overrides.get(flag) is not None:
+            cfg.setdefault(section, {})[key] = overrides[flag]
     if overrides.get("budget_rounds") is not None:
         cfg["budget"] = {"rounds": overrides["budget_rounds"]}
     if overrides.get("budget_outer") is not None:
         cfg["budget"] = {"outer": overrides["budget_outer"]}
-    if overrides.get("seed") is not None:
-        cfg.setdefault("problem", {})["seed"] = overrides["seed"]
-        cfg.setdefault("network", {})["seed"] = overrides["seed"]
     return cfg
 
 
@@ -68,7 +76,7 @@ def resolve_network(cfg):
     try:
         g = topology.generate_geometric_graph(int(net["N"]), int(net["seed"]))
     except KeyError as exc:
-        raise ConfigError(f"network spec needs field {exc}")
+        raise ValueError(f"network spec needs field {exc}")
     return topology.metropolis_weights(g)
 
 
@@ -82,6 +90,8 @@ def resolve_problem(cfg):
             kwargs = {}
             if "spectrum" in spec:
                 kwargs["spectrum"] = tuple(spec["spectrum"])
+                if len(kwargs["spectrum"]) != 2:
+                    raise ValueError(f"problem spectrum must be [low, high], got {spec['spectrum']}")
             return problems.generate_quadratic(int(spec["N"]), int(spec["n"]),
                                                int(spec["seed"]), **kwargs)
         if family == "logistic":
@@ -94,38 +104,32 @@ def resolve_problem(cfg):
             return problems.generate_logistic(int(spec["N"]), int(spec["T"]),
                                               int(spec["n"]), int(spec["seed"]), mu)
     except KeyError as exc:
-        raise ConfigError(f"problem spec needs field {exc}")
-    raise ConfigError(f"unknown problem family {family!r}")
+        raise ValueError(f"problem spec needs field {exc}")
+    raise ValueError(f"unknown problem family {family!r}")
 
 
 def resolve_schedule(cfg, consts):
     spec = cfg.get("schedule", {})
     unknown = [key for key in spec if key not in _SCHEDULE_KEYS]
     if unknown:
-        raise ConfigError(f"unknown schedule field {', '.join(map(repr, unknown))}; "
-                          f"choose from {', '.join(_SCHEDULE_KEYS)}")
-    try:
-        if "theta0" in spec:
-            theta0 = float(spec["theta0"])
-        else:
-            theta0 = float(spec.get("theta0_multiplier", 2.0)) * consts.L
-        return solvers.Schedule(theta0=theta0,
-                                theta_rule=spec.get("theta_rule", "factorial"),
-                                eps_rule=spec.get("eps_rule", "balance"),
-                                eps0=spec.get("eps0"))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ValueError(f"unknown schedule field {', '.join(map(repr, unknown))}; "
+                         f"choose from {', '.join(_SCHEDULE_KEYS)}")
+    if "theta0" in spec:
+        theta0 = float(_number(spec, "theta0"))
+    else:
+        theta0 = float(_number(spec, "theta0_multiplier", 2.0)) * consts.L
+    return solvers.Schedule(theta0=theta0,
+                            theta_rule=spec.get("theta_rule", "factorial"),
+                            eps_rule=spec.get("eps_rule", "balance"),
+                            eps0=None if spec.get("eps0") is None else _number(spec, "eps0"))
 
 
 def resolve_budget(cfg):
     spec = cfg.get("budget")
     if not spec:
-        raise ConfigError("config needs a budget")
-    try:
-        return solvers.Budget(rounds=spec.get("rounds"), outer=spec.get("outer"),
-                              scalar_products=spec.get("scalar_products"))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ValueError("config needs a budget")
+    return solvers.Budget(rounds=spec.get("rounds"), outer=spec.get("outer"),
+                          scalar_products=spec.get("scalar_products"))
 
 
 def write_trace_csv(trace, path):
@@ -133,9 +137,7 @@ def write_trace_csv(trace, path):
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(TRACE_COLUMNS)
         for r in trace.records:
-            out.writerow([_fmt(r.round), _fmt(r.outer_s), _fmt(r.theta), _fmt(r.epsilon),
-                          _fmt(r.error_e), _fmt(r.error_v), _fmt(r.consensus_residual),
-                          _fmt(r.cum_sp_max), _fmt(r.cum_vectors_sent)])
+            out.writerow([_fmt(getattr(r, c)) for c in TRACE_COLUMNS])
 
 
 def write_sidecar(trace, cfg, path):
@@ -150,13 +152,13 @@ def write_sidecar(trace, cfg, path):
 def cmd_gen(cfg):
     problem = resolve_problem(cfg)
     if problem.family != "quadratic":
-        raise ConfigError("gen persists quadratic problems; logistic data comes from files")
+        raise ValueError("gen persists quadratic problems; logistic data comes from files")
     w = resolve_network(cfg)
     if w.node_count != problem.node_count:
-        raise ConfigError("problem and network node counts differ")
+        raise ValueError("problem and network node counts differ")
     out = cfg.get("out")
     if not out:
-        raise ConfigError("gen needs an output prefix")
+        raise ValueError("gen needs an output prefix")
     consts = problems.constants_for(problem)
     g = topology.Graph(w.node_count, w.neighbor_lists)
     Path(str(out) + ".problem.json").write_text(problem.to_json())
@@ -171,19 +173,23 @@ def cmd_run(cfg):
     problem = resolve_problem(cfg)
     w = resolve_network(cfg)
     if w.node_count != problem.node_count:
-        raise ConfigError("problem and network node counts differ")
+        raise ValueError("problem and network node counts differ")
     algo = cfg.get("algorithm", {}).get("name")
     if algo not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+        raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
     budget = resolve_budget(cfg)
     consts = problems.constants_for(problem)
     out = cfg.get("out")
     if not out:
-        raise ConfigError("run needs an output path")
+        raise ValueError("run needs an output path")
+    if not Path(out).parent.is_dir():
+        raise ValueError(f"output directory {Path(out).parent} does not exist")
 
     if algo == "diging":
-        m = int(cfg.get("algorithm", {}).get("m", 10))
-        trace = solvers.diging(problem, w, alpha=1.0 / (m * consts.L), budget=budget)
+        m = _number(cfg.get("algorithm", {}), "m", 10)
+        if m < 1:
+            raise ValueError(f"algorithm m must be at least 1, got {m}")
+        trace = solvers.diging(problem, w, alpha=1.0 / (int(m) * consts.L), budget=budget)
     else:
         sched = resolve_schedule(cfg, consts)
         fn = {"efix-q": solvers.efix_q, "efix-g": solvers.efix_g,
@@ -200,19 +206,8 @@ def cmd_run(cfg):
 
 def _read_trace_csv(path):
     with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        for k in row:
-            row[k] = None if row[k] == "" else float(row[k])
-    return rows
-
-
-def _series(rows, key_col):
-    """Last row at each key value, keyed ascending (boundary rows collapse)."""
-    by_key = {}
-    for row in rows:
-        by_key[int(row[key_col])] = row
-    return dict(sorted(by_key.items()))
+        return [{k: None if v == "" else float(v) for k, v in row.items()}
+                for row in csv.DictReader(fh)]
 
 
 _SECTION_KEYS = [("round", "round"), ("scalar_products", "cum_sp_max"),
@@ -222,15 +217,17 @@ _COMPARE_FIELDS = ["error_e", "error_v", "cum_sp_max", "cum_vectors_sent"]
 
 def cmd_compare(paths, out):
     if len(paths) < 2:
-        raise ConfigError("compare needs at least two traces")
+        raise ValueError("compare needs at least two traces")
     traces, labels, hashes = [], [], []
     for i, p in enumerate(paths):
         meta = json.loads(Path(str(p) + ".meta.json").read_text())
-        traces.append(_read_trace_csv(p))
+        # each row's compare cells are formatted once, however many keys reuse it
+        traces.append([dict(row, cells=[_fmt(row[f]) for f in _COMPARE_FIELDS])
+                       for row in _read_trace_csv(p)])
         labels.append(f"{i}_{meta['algo']}")
         hashes.append(meta["problem_hash"])
     if len(set(hashes)) != 1:
-        raise ConfigError(f"traces come from different problems: {hashes}")
+        raise ValueError(f"traces come from different problems: {hashes}")
 
     header = ["section", "key"]
     for lab in labels:
@@ -241,16 +238,14 @@ def cmd_compare(paths, out):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for section, key_col in _SECTION_KEYS:
-            series = [_series(rows, key_col) for rows in traces]
-            keys = sorted(set().union(*(s.keys() for s in series)))
-            for k in keys:
+            # last row at each key (boundary rows collapse), carried over later keys
+            series = [{int(row[key_col]): row for row in rows} for rows in traces]
+            at_key = [None] * len(series)
+            for k in sorted(set().union(*series)):
                 row = [section, str(k)]
-                at_key = []
-                for s in series:
-                    usable = [v for kk, v in s.items() if kk <= k]
-                    at_key.append(usable[-1] if usable else None)
+                at_key = [s.get(k, prev) for s, prev in zip(series, at_key)]
                 for rec in at_key:
-                    row += ["" if rec is None else _fmt(rec[f]) for f in _COMPARE_FIELDS]
+                    row += [""] * len(_COMPARE_FIELDS) if rec is None else rec["cells"]
                 base = at_key[0]
                 for rec in at_key[1:]:
                     if base is None or rec is None or not rec["cum_vectors_sent"]:
@@ -261,8 +256,15 @@ def cmd_compare(paths, out):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: one ``error:`` line and exit 1."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="efix", description=__doc__)
+    ap = _Parser(prog="efix", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -287,14 +289,11 @@ def main(argv=None):
     try:
         if args.command == "compare":
             return cmd_compare(args.traces, args.out)
-        overrides = {"out": args.out, "algo": args.algo, "m": args.m,
-                     "budget_rounds": args.budget_rounds,
-                     "budget_outer": args.budget_outer, "seed": args.seed}
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, vars(args))
         if args.command == "gen":
             return cmd_gen(cfg)
         return cmd_run(cfg)
-    except (ConfigError, topology.GraphGenerationError) as exc:
+    except (ValueError, TypeError, OSError, topology.GraphGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,7 @@ require bit-identical traces.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +88,11 @@ class Budget:
             raise ValueError("budget needs at least one limit")
         for name in ("rounds", "outer", "scalar_products"):
             limit = getattr(self, name)
-            if limit is not None and limit < 0:
+            if limit is None:
+                continue
+            if isinstance(limit, bool) or not isinstance(limit, numbers.Real):
+                raise ValueError(f"budget limit {name} must be a number, got {limit!r}")
+            if limit < 0:
                 raise ValueError(f"budget limit {name} must be nonnegative, got {limit}")
 
     def exhausted(self, ledger):

@@ -4,9 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from efix import solvers
 from efix.cli import main
 from efix.problems import QuadraticProblem
 from efix.topology import generate_geometric_graph, mixing_from_json
+
+
+LOGISTIC = {"family": "logistic", "N": 4, "T": 24, "n": 3, "seed": 5, "mu": 1e-2}
 
 
 def write_config(path, **cfg):
@@ -159,6 +163,58 @@ class TestRun:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("section, fragment", [
+        ({"schedule": {"theta0": 1e-9}}, "kappa/2"),
+        ({"problem": LOGISTIC, "network": {"N": 4, "seed": 6}}, "efix_g"),
+        ({"problem": {"family": "logistic", "path": "{tmp}/absent.svm", "N": 6, "seed": 1}},
+         "{tmp}/absent.svm"),
+        ({"problem": {"problem_file": "{tmp}/absent.problem.json"}}, "{tmp}/absent.problem.json"),
+        ({"network": {"network_file": "{tmp}/absent.network.json"}}, "{tmp}/absent.network.json"),
+        ({"out": "{tmp}/absent/trace.csv"}, "{tmp}/absent"),
+        ({"budget": {"rounds": "abc"}}, "rounds"),
+        ({"algorithm": {"name": "diging", "m": 0}}, "algorithm m"),
+        ({"algorithm": {"name": "diging", "m": -1}}, "algorithm m"),
+        ({"algorithm": {"name": "diging"}, "budget": {"outer": 2}}, "outer"),
+        ({"problem": {"family": "quadratic", "N": 1, "n": 3, "seed": 2},
+          "network": {"N": 1, "seed": 11}}, "two nodes"),
+        ({"schedule": {"eps0": "abc"}}, "eps0"),
+        ({"schedule": {"theta0": None}}, "theta0"),
+        ({"problem": dict(LOGISTIC, T=3), "network": {"N": 4, "seed": 6},
+          "algorithm": {"name": "efix-g"}}, "cannot split"),
+        ({"problem": dict(LOGISTIC, mu=-1), "network": {"N": 4, "seed": 6},
+          "algorithm": {"name": "efix-g"}}, "mu"),
+        ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "spectrum": [5]}},
+         "spectrum"),
+        ({"problem": [1]}, "problem"),
+    ])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, section, fragment):
+        section = json.loads(json.dumps(section).replace("{tmp}", str(tmp_path)))
+        cfg = base_config(tmp_path, **section)
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert fragment.replace("{tmp}", str(tmp_path)) in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_missing_out_directory_fails_before_solving(self, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+        monkeypatch.setattr(solvers, "efix_q", no_solve)
+        cfg = base_config(tmp_path, out=str(tmp_path / "absent" / "trace.csv"))
+        assert main(["run", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "cfg.json", "--budget-rounds", "abc"],
+        ["frobnicate"],
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_divergence_exit_code(self, tmp_path):
         # DIGing with 1/(10 L) diverges on this instance (measured)
         cfg = write_config(tmp_path / "d.json",
@@ -271,3 +327,47 @@ class TestCompare:
     def test_needs_two_traces(self, tmp_path):
         pa, _ = self.run_pair(tmp_path, rounds=5)
         assert main(["compare", str(pa), "--out", str(tmp_path / "c.csv")]) == 1
+
+    def test_missing_sidecar_is_one_error_line(self, tmp_path, capsys):
+        pa, pb = self.run_pair(tmp_path, rounds=5)
+        Path(str(pb) + ".meta.json").unlink()
+        assert main(["compare", str(pa), str(pb), "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(pb) + ".meta.json" in err
+
+    def test_cost_sections_carry_each_trace_forward(self, tmp_path):
+        pa, pb = self.run_pair(tmp_path, rounds=60)
+        # a diging trace whose first rows are cut, so its columns start blank
+        late = tmp_path / "late.csv"
+        lines = pb.read_text().splitlines(keepends=True)
+        late.write_text(lines[0] + "".join(lines[11:]))
+        Path(str(late) + ".meta.json").write_text(Path(str(pb) + ".meta.json").read_text())
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", str(pa), str(late), "--out", str(out)]) == 0
+        traces = {"0_efix-q": read_rows(pa), "1_diging": read_rows(late)}
+        key_cols = {"scalar_products": "cum_sp_max", "vectors_sent": "cum_vectors_sent"}
+        blanks = checked = 0
+        for row in read_rows(out):
+            if row["section"] not in key_cols:
+                continue
+            key = int(row["key"])
+            last = {}
+            for label, rows in traces.items():
+                before = [r for r in rows if int(r[key_cols[row["section"]]]) <= key]
+                last[label] = before[-1] if before else None
+                for field in ("error_e", "error_v", "cum_sp_max", "cum_vectors_sent"):
+                    cell = row[f"{field}__{label}"]
+                    if last[label] is None:
+                        assert cell == ""
+                        blanks += 1
+                    else:
+                        assert float(cell) == float(last[label][field])
+                checked += 1
+            base, rec = last["0_efix-q"], last["1_diging"]
+            ratio = row["vectors_ratio__1_diging"]
+            if base is None or rec is None or not int(rec["cum_vectors_sent"]):
+                assert ratio == ""
+            else:
+                assert float(ratio) == int(base["cum_vectors_sent"]) / int(rec["cum_vectors_sent"])
+        assert checked > 100 and blanks > 0
