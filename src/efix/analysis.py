@@ -91,8 +91,18 @@ def error_v(x, problem) -> float:
         H, r, f0 = problem.expanded_objective
         vals = 0.5 * ((X @ H) * X).sum(axis=1) - X @ r + f0
     else:
-        t = problem.labels[:, None] * (problem.features @ X.T)
-        vals = np.logaddexp(0.0, -t).sum(axis=0) \
+        # margins t = zeta * s; logaddexp(0, -t) = max(-t, 0) + log1p(exp(-|t|))
+        # takes numpy's own branches through its vectorised exp and log1p
+        # loops, and |t| = |s| because every label is +-1
+        s = problem.features @ X.T
+        loss = s * -problem.labels[:, None]
+        np.maximum(loss, 0.0, out=loss)
+        np.abs(s, out=s)
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        np.log1p(s, out=s)
+        loss += s
+        vals = loss.sum(axis=0) \
             + problem.node_count * 0.5 * problem.mu * (X * X).sum(axis=1)
     return float(np.mean(vals))
 

@@ -37,10 +37,14 @@ def _fmt(v):
     return repr(float(v))
 
 
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _number(spec, key, default=None):
     """``spec[key]`` (``default`` if absent), which must be a real number."""
     value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_number(value):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return value
 
@@ -90,7 +94,7 @@ def resolve_problem(cfg):
             kwargs = {}
             if "spectrum" in spec:
                 kwargs["spectrum"] = tuple(spec["spectrum"])
-                if len(kwargs["spectrum"]) != 2:
+                if len(kwargs["spectrum"]) != 2 or not all(map(_is_number, kwargs["spectrum"])):
                     raise ValueError(f"problem spectrum must be [low, high], got {spec['spectrum']}")
             return problems.generate_quadratic(int(spec["N"]), int(spec["n"]),
                                                int(spec["seed"]), **kwargs)
@@ -204,15 +208,27 @@ def cmd_run(cfg):
     return 0
 
 
-def _read_trace_csv(path):
-    with open(path) as fh:
-        return [{k: None if v == "" else float(v) for k, v in row.items()}
-                for row in csv.DictReader(fh)]
-
-
 _SECTION_KEYS = [("round", "round"), ("scalar_products", "cum_sp_max"),
                  ("vectors_sent", "cum_vectors_sent")]
 _COMPARE_FIELDS = ["error_e", "error_v", "cum_sp_max", "cum_vectors_sent"]
+
+
+def _read_trace_csv(path):
+    with open(path) as fh:
+        reader = csv.DictReader(fh)
+        for column in ["round"] + _COMPARE_FIELDS:
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"trace {path} needs column {column!r}")
+        return [{k: None if v == "" else float(v) for k, v in row.items()}
+                for row in reader]
+
+
+def _read_sidecar(path):
+    meta = json.loads(Path(path).read_text())
+    for key in ("algo", "problem_hash"):
+        if not isinstance(meta, dict) or key not in meta:
+            raise ValueError(f"sidecar {path} needs field {key!r}")
+    return meta
 
 
 def cmd_compare(paths, out):
@@ -220,7 +236,7 @@ def cmd_compare(paths, out):
         raise ValueError("compare needs at least two traces")
     traces, labels, hashes = [], [], []
     for i, p in enumerate(paths):
-        meta = json.loads(Path(str(p) + ".meta.json").read_text())
+        meta = _read_sidecar(str(p) + ".meta.json")
         # each row's compare cells are formatted once, however many keys reuse it
         traces.append([dict(row, cells=[_fmt(row[f]) for f in _COMPARE_FIELDS])
                        for row in _read_trace_csv(p)])

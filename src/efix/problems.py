@@ -102,6 +102,11 @@ class QuadraticProblem:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("problem document must be a JSON object")
+        for key in ("n", "N", "B", "b"):
+            if key not in doc:
+                raise ValueError(f"problem document needs field {key!r}")
         n, N = int(doc["n"]), int(doc["N"])
         B = np.array([np.array(blk, dtype=float).reshape(n, n) for blk in doc["B"]])
         b = np.array(doc["b"], dtype=float)
@@ -144,10 +149,36 @@ class LogisticProblem:
     def sample_count(self):
         return self.features.shape[0]
 
+    @cached_property
+    def size_classes(self):
+        """Node data grouped by block size: a tuple of (nodes, features, labels).
+
+        The nodes with |J_i| = m share one contiguous (k, m, n) features
+        stack and one (k, m) labels stack, so a batched oracle runs one
+        matmul per class; ``array_split`` partitions have at most two.
+        Built on first use: an unscaled problem never needs it.
+        """
+        sizes = np.array([len(J) for J in self.partition], dtype=int)
+        classes = []
+        for m in np.unique(sizes):
+            nodes = np.flatnonzero(sizes == m)
+            rows = np.array([self.partition[i] for i in nodes], dtype=int).reshape(len(nodes), m)
+            classes.append((nodes, self.features[rows], self.labels[rows]))
+        return tuple(classes)
+
+    @cached_property
+    def node_blocks(self):
+        """Node i's (features[J_i], labels[J_i]), as views into its class's stacks."""
+        blocks = [None] * self.node_count
+        for nodes, F, z in self.size_classes:
+            for k, i in enumerate(nodes):
+                blocks[i] = (F[k], z[k])
+        return tuple(blocks)
+
     def margins(self, i, y):
         """zeta_j d_j^T y over node i's samples."""
-        J = self.partition[i]
-        return self.labels[J] * (self.features[J] @ np.asarray(y, dtype=float))
+        D, z = self.node_blocks[i]
+        return z * (D @ np.asarray(y, dtype=float))
 
     def local_objective(self, i, y):
         y = np.asarray(y, dtype=float)
@@ -156,10 +187,25 @@ class LogisticProblem:
 
     def local_gradient(self, i, y):
         y = np.asarray(y, dtype=float)
-        J = self.partition[i]
+        D, z = self.node_blocks[i]
         t = self.margins(i, y)
         coef = -_sigmoid(-t)  # (1 - psi)/psi
-        return (coef * self.labels[J]) @ self.features[J] + self.mu * y
+        return (coef * z) @ D + self.mu * y
+
+    def stacked_gradient(self, X):
+        """All N local gradients as an (N, n) array, one batched pass per size class.
+
+        Each node's row runs the same matmul shapes and elementwise steps
+        as ``local_gradient``, so the rows are bitwise equal to it.
+        """
+        X = np.asarray(X, dtype=float)
+        G = np.empty_like(X)
+        for nodes, F, z in self.size_classes:
+            Y = X[nodes]
+            t = z * np.matmul(F, Y[..., None])[..., 0]
+            coef = -_sigmoid(-t)
+            G[nodes] = np.matmul((coef * z)[:, None, :], F)[:, 0, :] + self.mu * Y
+        return G
 
     def curvature_coeffs(self, i, y):
         """Per-sample (psi-1)/psi^2 factors; lie in (0, 1/4]."""
@@ -167,9 +213,8 @@ class LogisticProblem:
         return _sigmoid(t) * _sigmoid(-t)
 
     def local_hessian(self, i, y):
-        J = self.partition[i]
+        D, _ = self.node_blocks[i]
         f = self.curvature_coeffs(i, y)
-        D = self.features[J]
         return (D.T * f) @ D + self.mu * np.eye(self.dim)
 
     def model_terms(self, i, y):
@@ -192,6 +237,11 @@ def generate_quadratic(N, n, seed, spectrum=(1.0, 101.0), shift_range=(1.0, 31.0
     each component of b_i is uniform on ``shift_range``.  Deterministic
     per seed.
     """
+    if n < 1:
+        raise ValueError(f"problem n must be at least 1, got {n}")
+    if not 0 < spectrum[0] <= spectrum[1]:
+        raise ValueError(f"problem spectrum must be [low, high] with 0 < low <= high, "
+                         f"got {list(spectrum)}")
     rng = np.random.default_rng(seed)
     B = np.empty((N, n, n))
     b = np.empty((N, n))
@@ -319,6 +369,8 @@ def generate_logistic(N, T, n, seed, mu, label_noise=0.1) -> LogisticProblem:
     noise plus a ``label_noise`` fraction of flips, so the data is not
     separable and the regularized optimum stays at moderate norm.
     """
+    if n < 1:
+        raise ValueError(f"problem n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     D = rng.standard_normal((T, n))
     w_true = rng.standard_normal(n)
@@ -331,8 +383,14 @@ def generate_logistic(N, T, n, seed, mu, label_noise=0.1) -> LogisticProblem:
 
 
 def stacked_gradient(problem, X):
-    """Per-node gradients of the separable objective, as an (N, n) array."""
+    """Per-node gradients of the separable objective, as an (N, n) array.
+
+    A logistic problem takes them in its batched pass; its per-node
+    ``local_gradient`` stays the reference that pass is bitwise equal to.
+    """
     X = np.asarray(X, dtype=float)
+    if problem.family == "logistic":
+        return problem.stacked_gradient(X)
     return np.stack([problem.local_gradient(i, X[i]) for i in range(problem.node_count)])
 
 

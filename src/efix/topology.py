@@ -257,8 +257,19 @@ def network_to_json(g: Graph, w: MixingMatrix | None = None) -> str:
     return json.dumps(doc)
 
 
-def graph_from_json(text: str) -> Graph:
+def _json_fields(text, fields):
+    """The network document in ``text``; a missing field is an input error naming it."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("network document must be a JSON object")
+    for key in fields:
+        if key not in doc:
+            raise ValueError(f"network document needs field {key!r}")
+    return doc
+
+
+def graph_from_json(text: str) -> Graph:
+    doc = _json_fields(text, ("n", "edges"))
     N = int(doc["n"])
     nbrs = [[] for _ in range(N)]
     for i, j in doc["edges"]:
@@ -268,16 +279,17 @@ def graph_from_json(text: str) -> Graph:
 
 
 def mixing_from_json(text: str) -> MixingMatrix:
-    doc = json.loads(text)
-    if "weights" not in doc:
-        raise ValueError("document carries no mixing weights")
+    doc = _json_fields(text, ("n", "edges", "weights", "diag"))
     g = graph_from_json(text)
     lookup = {}
     for i, j, v in doc["weights"]:
         lookup[(i, j)] = float(v)
         lookup[(j, i)] = float(v)
-    off = [np.array([lookup[(i, j)] for j in g.neighbor_lists[i]])
-           for i in range(g.node_count)]
+    try:
+        off = [np.array([lookup[(i, j)] for j in g.neighbor_lists[i]])
+               for i in range(g.node_count)]
+    except KeyError as exc:
+        raise ValueError(f"network document has no weight for edge {exc}")
     diag = np.array(doc["diag"], dtype=float)
     w = _build_mixing(g.node_count, g.neighbor_lists, off, diag)
     w.validate()

@@ -115,6 +115,24 @@ class TestErrorMetrics:
         p = generate_logistic(4, 24, 3, seed=7, mu=1e-2)
         assert error_v(np.zeros(12), p) == pytest.approx(24 * math.log(2), rel=1e-12)
 
+    def test_logistic_error_v_is_the_mean_objective(self):
+        p = generate_logistic(10, 203, 5, seed=12, mu=1e-2)
+        rng = np.random.default_rng(5)
+        for scale in (0.01, 1.0, 30.0):
+            X = rng.standard_normal((10, 5)) * scale
+            naive = np.mean([p.global_objective(X[i]) for i in range(10)])
+            assert error_v(X.reshape(-1), p) == pytest.approx(naive, rel=1e-14)
+
+    def test_logistic_error_v_linear_tail(self):
+        # margins of +-1e3 and 2e3: exp(-|t|) underflows to 0, so each loss
+        # term is exactly max(-t, 0) and the value is exact
+        p = LogisticProblem(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]),
+                            [[0], [1]], mu=0.5)
+        X = np.array([1e3, -1e3])
+        # node 0: losses 0 + 2000; node 1: 1000 + 0; regularizer 2 * 0.25 * 1e6 each
+        assert error_v(X, p) == 501500.0
+        assert error_v(X, p) == np.mean([p.global_objective(X[i:i + 1]) for i in range(2)])
+
     def test_error_v_dominates_optimum(self):
         p = generate_logistic(4, 40, 3, seed=8, mu=1e-2)
         o = oracle_logistic(p)

@@ -186,6 +186,15 @@ class TestRun:
         ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "spectrum": [5]}},
          "spectrum"),
         ({"problem": [1]}, "problem"),
+        ({"problem": {"family": "quadratic", "N": 6, "n": 0, "seed": 2}}, "problem n"),
+        ({"problem": dict(LOGISTIC, n=0), "network": {"N": 4, "seed": 6},
+          "algorithm": {"name": "efix-g"}}, "problem n"),
+        ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "spectrum": [5, -1]}},
+         "spectrum"),
+        ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "spectrum": [0, 0]}},
+         "spectrum"),
+        ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "spectrum": ["a", 1]}},
+         "spectrum"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, section, fragment):
         section = json.loads(json.dumps(section).replace("{tmp}", str(tmp_path)))
@@ -195,6 +204,26 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert fragment.replace("{tmp}", str(tmp_path)) in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("key, text, fragment", [
+        ("problem_file", '{"B": 1}', "needs field 'n'"),
+        ("problem_file", "[1]", "JSON object"),
+        ("network_file", '{"weights": 1}', "needs field 'n'"),
+        ("network_file", '{"n": 6, "edges": [[0, 1]]}', "needs field 'weights'"),
+        ("network_file", '{"n": 6, "edges": [[0, 1]], "weights": [], "diag": []}',
+         "no weight for edge (0, 1)"),
+    ], ids=["problem-without-n", "problem-not-object", "network-without-n",
+            "network-without-weights", "network-edge-without-weight"])
+    def test_bad_input_file_is_one_error_line(self, tmp_path, capsys, key, text, fragment):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        section = "problem" if key == "problem_file" else "network"
+        cfg = base_config(tmp_path, **{section: {key: str(path)}})
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
         assert not (tmp_path / "trace.csv").exists()
 
     def test_missing_out_directory_fails_before_solving(self, tmp_path, monkeypatch):
@@ -335,6 +364,24 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(pb) + ".meta.json" in err
+
+    @pytest.mark.parametrize("sidecar, header, fragment", [
+        ("{}", None, "needs field 'algo'"),
+        ('{"algo": "diging"}', None, "needs field 'problem_hash'"),
+        ("[]", None, "needs field 'algo'"),
+        (None, "round", "needs column 'error_e'"),
+    ], ids=["empty-sidecar", "sidecar-without-hash", "sidecar-not-object", "trace-round-only"])
+    def test_malformed_trace_is_one_error_line(self, tmp_path, capsys, sidecar, header,
+                                               fragment):
+        pa, pb = self.run_pair(tmp_path, rounds=5)
+        if sidecar is not None:
+            Path(str(pb) + ".meta.json").write_text(sidecar)
+        if header is not None:
+            pb.write_text(header + "\n0\n")
+        assert main(["compare", str(pa), str(pb), "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err and str(pb) in err
 
     def test_cost_sections_carry_each_trace_forward(self, tmp_path):
         pa, pb = self.run_pair(tmp_path, rounds=60)

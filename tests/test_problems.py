@@ -6,7 +6,7 @@ import pytest
 from efix.problems import (LogisticProblem, QuadraticProblem, constants_for,
                            generate_logistic, generate_quadratic, load_libsvm,
                            logistic_constants, partition_data, problem_fingerprint,
-                           quadratic_constants, scale_features)
+                           quadratic_constants, scale_features, stacked_gradient)
 
 
 def central_diff_grad(f, y, h=1e-6):
@@ -230,6 +230,58 @@ class TestLogisticDerivatives:
             y = rng.standard_normal(p.dim)
             v = rng.standard_normal(p.dim)
             assert v @ (p.local_hessian(i, y) @ v) >= p.mu * (v @ v) - 1e-12
+
+
+class TestStackedLogisticGradient:
+    """The batched oracle equals a stack of per-node ``local_gradient`` rows, bit for bit."""
+
+    @staticmethod
+    def assert_parity(p, X):
+        G = stacked_gradient(p, X)
+        assert np.array_equal(G, np.stack([p.local_gradient(i, X[i])
+                                           for i in range(p.node_count)]))
+        return G
+
+    def test_unequal_block_sizes(self):
+        rng = np.random.default_rng(31)
+        D = rng.standard_normal((203, 4))
+        zeta = np.where(rng.random(203) < 0.5, -1.0, 1.0)
+        p = scale_features(partition_data(D, zeta, 10, seed=2, mu=1e-2))
+        assert [F.shape[1] for _, F, _ in p.size_classes] == [20, 21]
+        for scale in (0.1, 1.0, 10.0):
+            self.assert_parity(p, rng.standard_normal((10, 4)) * scale)
+
+    def test_three_size_classes_and_an_empty_block(self):
+        rng = np.random.default_rng(32)
+        D = rng.standard_normal((12, 3))
+        zeta = np.where(rng.random(12) < 0.5, -1.0, 1.0)
+        p = LogisticProblem(D, zeta, [[0, 3, 5], [], [1], [2, 4, 6, 7, 8], [9, 10, 11]], 0.1)
+        assert [list(nodes) for nodes, _, _ in p.size_classes] == [[1], [2], [0, 4], [3]]
+        for i, J in enumerate(p.partition):
+            F, z = p.node_blocks[i]
+            assert np.array_equal(F, D[J]) and np.array_equal(z, zeta[J])
+            assert F.base is not None and z.base is not None   # views into the stacks
+        X = rng.standard_normal((5, 3))
+        G = self.assert_parity(p, X)
+        assert np.array_equal(G[1], 0.1 * X[1])
+
+    def test_margins_near_1e3(self):
+        p = generate_logistic(6, 60, 3, seed=33, mu=1e-2)
+        rng = np.random.default_rng(34)
+        for _ in range(5):
+            X = rng.standard_normal((6, 3))
+            top = max(np.abs(p.margins(i, X[i])).max() for i in range(6))
+            X *= 1e3 / top
+            G = self.assert_parity(p, X)
+            assert np.isfinite(G).all()
+
+    def test_built_only_on_use(self):
+        rng = np.random.default_rng(35)
+        p = partition_data(rng.standard_normal((20, 3)), np.ones(20), 4, seed=1, mu=1e-2)
+        scaled = scale_features(p)
+        assert "size_classes" not in vars(p) and "size_classes" not in vars(scaled)
+        stacked_gradient(scaled, np.zeros((4, 3)))
+        assert "size_classes" in vars(scaled) and "size_classes" not in vars(p)
 
 
 class TestQuadraticDerivatives:

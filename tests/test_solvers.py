@@ -431,13 +431,14 @@ class TestDiging:
         w = metropolis_weights(generate_geometric_graph(4, 17))
         oracle = oracle_logistic(p)
         calls = []
-        gradient = type(p).local_gradient
+        gradient = type(p).stacked_gradient
 
-        def counted(self, i, y):
-            calls.append(i)
-            return gradient(self, i, y)
+        def counted(self, X):
+            G = gradient(self, X)
+            calls.extend(range(len(G)))
+            return G
 
-        monkeypatch.setattr(type(p), "local_gradient", counted)
+        monkeypatch.setattr(type(p), "stacked_gradient", counted)
         diging(p, w, alpha=0.05, budget=Budget(rounds=25), oracle=oracle)
         assert len(calls) == 4 * (25 + 1)
 
