@@ -15,6 +15,7 @@ relaxation, the extrapolation weights and a certified rate.
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -59,18 +60,13 @@ def assemble(h_blocks, c_blocks, w: MixingMatrix, theta) -> PenaltySubproblem:
     """Build the subproblem from local Hessian blocks and right-hand sides."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-    N = w.node_count
     H = np.asarray(h_blocks, dtype=float)
     c = np.asarray(c_blocks, dtype=float)
-    n = H.shape[1]
-    I = np.eye(n)
-    A_self = np.empty_like(H)
-    d = np.empty((N, n))
-    for i in range(N):
-        A_self[i] = H[i] + theta * (1.0 - w.diag[i]) * I
-        d[i] = np.diag(A_self[i])
-        if np.any(d[i] <= 0):
-            raise ValueError(f"nonpositive diagonal in block {i}; input violates strong convexity")
+    A_self = H + (theta * (1.0 - w.diag))[:, None, None] * np.eye(H.shape[1])
+    d = np.diagonal(A_self, axis1=1, axis2=2).copy()
+    bad = np.flatnonzero((d <= 0).any(axis=1))
+    if bad.size:
+        raise ValueError(f"nonpositive diagonal in block {bad[0]}; input violates strong convexity")
     return PenaltySubproblem(theta=float(theta), w=w, A_self=A_self, d=d, dinv=1.0 / d, c=c)
 
 
@@ -80,9 +76,8 @@ def relaxed(sub: PenaltySubproblem, q) -> PenaltySubproblem:
     Self blocks q D_i^{-1} (D_i - A_ii) + (1 - q) I and offsets q D_i^{-1} c_i.
     """
     I = np.eye(sub.dim)
-    M_self = np.empty_like(sub.A_self)
-    for i in range(sub.node_count):
-        M_self[i] = q * ((np.diag(sub.d[i]) - sub.A_self[i]) / sub.d[i][:, None]) + (1.0 - q) * I
+    d = sub.d[:, :, None]
+    M_self = q * ((d * I - sub.A_self) / d) + (1.0 - q) * I
     return replace(sub, q=float(q), M_self=M_self, p=q * sub.c / sub.d)
 
 
@@ -227,6 +222,10 @@ class ChebyshevPlan:
         sa, sb = math.sqrt(self.a), math.sqrt(self.b)
         return max((sb - sa) / (sb + sa), 1e-12)
 
+    @cached_property
+    def rate_squared(self):
+        return self.rate ** 2
+
     def weight(self, k):
         """omega for round k of a stage (k = 0 is its first round).
 
@@ -236,7 +235,7 @@ class ChebyshevPlan:
         """
         if k == 0:
             return 1.0
-        r2 = self.rate ** 2
+        r2 = self.rate_squared
         return (1.0 + r2) * (1.0 + r2 ** k) / (1.0 + r2 ** (k + 1))
 
 
@@ -261,8 +260,7 @@ def chebyshev_plan(sub: PenaltySubproblem, mu) -> ChebyshevPlan:
     if mu <= 0:
         raise ValueError("need a positive strong-convexity constant mu")
     d_max = float(sub.d.max())
-    off = np.array([float(np.sum(np.abs(ws))) for ws in sub.w.off_diag])
-    rows = np.abs(sub.A_self).sum(axis=2) + sub.theta * off[:, None]
+    rows = np.abs(sub.A_self).sum(axis=2) + sub.theta * sub.w.off_abs_sums[:, None]
     b = float(np.max(rows / sub.d))
     # the theta shift sits only on the diagonal of A_ii
     H = sub.A_self - (sub.theta * (1.0 - sub.w.diag))[:, None, None] * np.eye(sub.dim)

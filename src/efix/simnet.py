@@ -30,7 +30,11 @@ class NodeRuntime:
 
 
 class CostLedger:
-    """Nondecreasing per-node scalar-product and vectors-sent counters."""
+    """Nondecreasing per-node scalar-product and vectors-sent counters.
+
+    A scalar-product charge is an int or an integer per-node array; it is
+    added in place, so a fractional charge raises instead of truncating.
+    """
 
     def __init__(self, degrees):
         self.degrees = np.asarray(degrees, dtype=np.int64)
@@ -39,13 +43,13 @@ class CostLedger:
         self.rounds = 0
 
     def charge_round(self, sp_per_node, vectors_per_neighbor):
-        self.sp += np.broadcast_to(np.asarray(sp_per_node, dtype=np.int64), self.sp.shape)
+        self.sp += sp_per_node
         self.sent += vectors_per_neighbor * self.degrees
         self.rounds += 1
 
     def charge_local(self, sp_per_node):
         """Computation outside rounds (e.g. re-linearization at an outer step)."""
-        self.sp += np.broadcast_to(np.asarray(sp_per_node, dtype=np.int64), self.sp.shape)
+        self.sp += sp_per_node
 
     @property
     def max_sp(self):

@@ -11,6 +11,7 @@ table, over which ``gather`` runs every neighbor sum of a round at once.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -97,6 +98,17 @@ class MixingMatrix:
 
     def degrees(self):
         return np.array([len(nb) for nb in self.neighbor_lists])
+
+    @cached_property
+    def off_abs_sums(self):
+        """sum_j |w_ij| over node i's neighbors, one ``np.sum`` per ``off_diag`` row.
+
+        Not taken over the padded table: the padding zeros could regroup
+        numpy's pairwise sum and change the bits.
+        """
+        sums = np.array([float(np.sum(np.abs(ws))) for ws in self.off_diag])
+        sums.setflags(write=False)
+        return sums
 
     def to_dense(self):
         return _dense(self.idx, self.wt, self.diag)
@@ -215,13 +227,17 @@ def gather(w: MixingMatrix, Z, weights=None, acc=None):
     weights to subtract).  Columns are added one at a time in neighbor
     order, starting from ``acc`` (or from the first column), so row i is
     the same sum, in the same order, as a loop over ``neighbor_lists[i]``.
-    Row i reads only rows of Z in node i's neighborhood.
+    Row i reads only rows of Z in node i's neighborhood.  Neither ``Z``
+    nor ``acc`` is modified.
     """
     weights = w.wt if weights is None else weights
-    terms = Z[w.idx] * weights[:, :, None]
-    for k in range(terms.shape[1]):
-        acc = terms[:, k] if acc is None else acc + terms[:, k]
-    return acc
+    # slot-major (dmax, N, n): each slot is one contiguous (N, n) block
+    terms = np.asarray(Z).take(w.idx.T, axis=0)
+    terms *= weights.T[:, :, None]
+    out = terms[0] if acc is None else acc + terms[0]
+    for k in range(1, len(terms)):
+        out += terms[k]
+    return out
 
 
 def laplacian_quadratic(w: MixingMatrix, x) -> float:

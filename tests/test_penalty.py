@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from efix.penalty import (NonContractiveError, assemble, assemble_model,
+from efix.penalty import (ChebyshevPlan, NonContractiveError, assemble, assemble_model,
                           assemble_quadratic, chebyshev_plan, chebyshev_step,
                           contraction_estimate, dense_iteration_matrix,
                           dense_system, jor_step, penalty_gradient,
@@ -96,6 +96,30 @@ class TestAssembly:
         H = np.array([[[-5.0]], [[1.0]]])
         with pytest.raises(ValueError, match="diagonal"):
             assemble(H, np.zeros((2, 1)), w, theta=1.0)
+        # the first offending block is named
+        with pytest.raises(ValueError, match="block 1;"):
+            assemble(H[::-1], np.zeros((2, 1)), w, theta=1.0)
+
+    def test_blocks_equal_the_per_node_formulas(self):
+        # A_ii = H_i + theta (1 - w_ii) I and M_ii = q D_i^{-1} (D_i - A_ii) + (1 - q) I
+        for N, seed in ((7, 1), (30, 2)):
+            w = metropolis_weights(generate_geometric_graph(N, seed))
+            pq = generate_quadratic(N, 4, seed)
+            pl = generate_logistic(N, 6 * N, 3, seed=seed, mu=1e-2)
+            X = np.random.default_rng(seed).standard_normal((N, 3))
+            for p, x in ((pq, None), (pl, X)):
+                L = constants_for(p).L
+                for theta in (2 * L, 1e4 * L):
+                    sub = relaxed(assemble_model(p, x if x is not None else np.zeros((N, 4)),
+                                                 w, theta), 0.7)
+                    I = np.eye(p.dim)
+                    for i in range(N):
+                        H, _ = p.model_terms(i, None if x is None else x[i])
+                        A = H + theta * (1.0 - w.diag[i]) * I
+                        M = 0.7 * ((np.diag(np.diag(A)) - A) / np.diag(A)[:, None]) + (1.0 - 0.7) * I
+                        assert np.array_equal(sub.A_self[i].view(np.int64), A.view(np.int64))
+                        assert np.array_equal(sub.d[i], np.diag(A))
+                        assert np.array_equal(sub.M_self[i].view(np.int64), M.view(np.int64))
 
 
 class TestRelaxationBound:
@@ -320,6 +344,19 @@ class TestChebyshevCertificate:
             omega.append(1.0 / (1.0 - rho ** 2 * omega[-1] / 4.0))
         np.testing.assert_allclose([plan.weight(k) for k in range(40)], omega, rtol=1e-12)
         assert 1.0 < plan.weight(39) < 2.0
+
+    def test_weight_equals_the_uncached_formula(self):
+        sub, _, _, _ = random_instance(3, theta=50.0)
+        plans = [chebyshev_plan(sub, 1.0), chebyshev_plan(sub, 1e-3),
+                 ChebyshevPlan(a=2.0, b=2.0, C=1.0), ChebyshevPlan(a=1e-6, b=1.9, C=3.0)]
+        assert plans[2].rate == 1e-12  # a == b: the rate clamp
+        for plan in plans:
+            r = plan.rate
+            for k in range(201):
+                expect = 1.0 if k == 0 else (
+                    (1.0 + r ** 2) * (1.0 + (r ** 2) ** k) / (1.0 + (r ** 2) ** (k + 1)))
+                assert np.float64(plan.weight(k)).view(np.int64) == \
+                    np.float64(expect).view(np.int64)
 
     def test_relaxed_equals_assembly_at_that_q(self):
         sub, p, w, L = random_instance(4)

@@ -68,6 +68,27 @@ class TestLedger:
         ledger.charge_local(np.arange(len(nodes)))
         assert ledger.rounds == 3
 
+    def test_fractional_charges_raise(self):
+        ledger = CostLedger([1, 2, 3])
+        for charge in (2.5, np.array([1.0, 2.0, 3.5])):
+            with pytest.raises(TypeError):
+                ledger.charge_round(charge, 1)
+            with pytest.raises(TypeError):
+                ledger.charge_local(charge)
+        assert ledger.rounds == 0
+        assert not ledger.sp.any() and not ledger.sent.any()
+
+    def test_int_and_per_node_charges_are_exact(self):
+        ledger = CostLedger([1, 2, 3])
+        ledger.charge_round(7, 2)
+        ledger.charge_round(np.array([1, 2, 3], dtype=np.int64), 1)
+        ledger.charge_local(np.int64(4))
+        ledger.charge_local(np.array([10, 0, 5], dtype=np.int64))
+        assert ledger.sp.dtype == np.int64
+        np.testing.assert_array_equal(ledger.sp, [22, 13, 19])
+        np.testing.assert_array_equal(ledger.sent, [3, 6, 9])
+        assert ledger.rounds == 2 and ledger.max_sp == 22 and ledger.total_sent == 18
+
 
 class TestGather:
     def test_concatenation_order(self):

@@ -150,16 +150,40 @@ class TestNeighborTable:
             assert np.array_equal(gather(w, Z2, acc=w.diag[:, None] * Z2)[i], base[i])
 
     def test_gather_equals_the_neighbor_loop(self):
+        # (graph, n): the single edge, small and criterion-4 sizes, and
+        # N=100 whose rows pad up to dmax=16
+        shapes = [(Graph(2, ((1,), (0,))), 1), (generate_geometric_graph(7, 2), 2),
+                  (generate_geometric_graph(30, 2), 1), (generate_geometric_graph(30, 2), 10),
+                  (generate_geometric_graph(100, 7), 10)]
+        for seed, (g, n) in enumerate(shapes):
+            w = metropolis_weights(g)
+            N = g.node_count
+            rng = np.random.default_rng(seed)
+            # per-row magnitudes from 1e-8 to 1e8
+            Z = rng.standard_normal((N, n)) * np.logspace(-8, 8, N)[:, None]
+            acc = rng.standard_normal((N, n))
+            Z0, acc0 = Z.copy(), acc.copy()
+            # (weights, their scale of w.wt, accumulator)
+            for weights, scale, start in ((None, 1.0, None), (None, 1.0, acc),
+                                          (-(3.0 * w.wt), -3.0, acc)):
+                out = gather(w, Z, weights=weights, acc=start)
+                assert out.shape == (N, n)
+                for i in range(N):
+                    ref = None if start is None else start[i]
+                    for k, j in enumerate(g.neighbor_lists[i]):
+                        term = (scale * w.off_diag[i][k]) * Z[j]
+                        ref = term if ref is None else ref + term
+                    assert np.array_equal(out[i].view(np.int64), ref.view(np.int64))
+            assert np.array_equal(Z.view(np.int64), Z0.view(np.int64))
+            assert np.array_equal(acc.view(np.int64), acc0.view(np.int64))
+        assert w.idx.shape == (100, 16)
+
+    def test_absolute_off_diagonal_sums(self):
         w = metropolis_weights(generate_geometric_graph(30, 2))
-        Z = np.random.default_rng(5).standard_normal((30, 4))
-        signed = -(3.0 * w.wt)
-        for weights, scale in ((None, 1.0), (signed, -3.0)):
-            out = gather(w, Z, weights=weights, acc=Z)
-            for i in range(30):
-                acc = Z[i]
-                for k, j in enumerate(w.neighbor_lists[i]):
-                    acc = acc + (scale * w.off_diag[i][k]) * Z[j]
-                assert np.array_equal(out[i], acc)
+        sums = w.off_abs_sums
+        for i, ws in enumerate(w.off_diag):
+            assert sums[i] == float(np.sum(np.abs(ws)))
+        assert w.off_abs_sums is sums and not sums.flags.writeable
 
     def test_dense_matches_the_lists(self):
         w = metropolis_weights(star4())
