@@ -91,12 +91,13 @@ def error_v(x, problem) -> float:
         H, r, f0 = problem.expanded_objective
         vals = 0.5 * ((X @ H) * X).sum(axis=1) - X @ r + f0
     else:
-        # margins t = zeta * s; logaddexp(0, -t) = max(-t, 0) + log1p(exp(-|t|))
+        # margins t = zeta * (D x); logaddexp(0, -t) = max(-t, 0) + log1p(exp(-|t|))
         # takes numpy's own branches through its vectorised exp and log1p
-        # loops, and |t| = |s| because every label is +-1
-        s = problem.features @ X.T
-        loss = s * -problem.labels[:, None]
-        np.maximum(loss, 0.0, out=loss)
+        # loops.  Every label is +-1, so s = (-zeta D) x is bitwise -t and
+        # |s| = |t|; both (T, N) buffers are the problem's, reused per call
+        signed, s, loss = problem.error_v_workspace
+        np.matmul(signed, X.T, out=s)
+        np.maximum(s, 0.0, out=loss)
         np.abs(s, out=s)
         np.negative(s, out=s)
         np.exp(s, out=s)

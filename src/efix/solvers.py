@@ -187,6 +187,21 @@ def cbar(problem, consts=None):
     return 3.0 * consts.L * math.sqrt(problem.node_count)
 
 
+def _round_fault(Z):
+    """The ``Trace`` flag that a round's (N, n) iterate raises, or None.
+
+    ``m = max_i ||Z_i||^2`` from the row sums ``np.linalg.norm`` takes, so
+    while m is finite, Z is finite and ``sqrt(m)`` is bitwise the largest
+    row norm: the run has diverged iff it exceeds the ceiling.  An
+    infinite or NaN m is a NaN or inf in Z (``numerical_failure``) or else
+    a row whose squares overflow, whose norm is inf (``diverged``).
+    """
+    m = float(np.add.reduce(Z * Z, axis=1).max())
+    if math.isfinite(m):
+        return "diverged" if math.sqrt(m) > DIVERGENCE_CEILING else None
+    return "diverged" if np.isfinite(Z).all() else "numerical_failure"
+
+
 def _as_blocks(x0, N, n):
     if x0 is None:
         return np.zeros((N, n))
@@ -294,12 +309,9 @@ def _run_efix(problem, w, sched, budget, algo, stopping=False, oracle=None, x0=N
             k_run += 1
             if record_rounds:
                 _emit(trace, ledger, Z, s, theta_s, eps_s, problem, oracle, W_dense)
-            if not np.isfinite(Z).all():
-                trace.numerical_failure = True
-                stop = True
-                break
-            if np.max(np.linalg.norm(Z, axis=1)) > DIVERGENCE_CEILING:
-                trace.diverged = True
+            fault = _round_fault(Z)
+            if fault:
+                setattr(trace, fault, True)
                 stop = True
                 break
 
@@ -431,11 +443,9 @@ def diging(problem, w, alpha, budget: Budget, variant=None, oracle=None,
         ledger.charge_round(sp_round, 2)
         if record_rounds:
             _emit(trace, ledger, X, 0, None, None, problem, oracle, W_dense)
-        if not (np.isfinite(X).all() and np.isfinite(U).all()):
-            trace.numerical_failure = True
-            break
-        if np.max(np.linalg.norm(X, axis=1)) > DIVERGENCE_CEILING:
-            trace.diverged = True
+        fault = "numerical_failure" if not np.isfinite(U).all() else _round_fault(X)
+        if fault:
+            setattr(trace, fault, True)
             break
     trace.x_final = X.reshape(-1)
     return trace

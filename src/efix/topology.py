@@ -72,6 +72,7 @@ class MixingMatrix:
     ``idx`` and ``wt`` are the same weights as a read-only (N, dmax)
     neighbor table, dmax the largest degree: row i lists
     ``neighbor_lists[i]`` in order, then pads with i itself at weight 0.0.
+    ``gather`` reads them slot-major, from ``slot_idx`` and ``slot_weights``.
     """
 
     node_count: int
@@ -98,6 +99,30 @@ class MixingMatrix:
 
     def degrees(self):
         return np.array([len(nb) for nb in self.neighbor_lists])
+
+    @cached_property
+    def slot_idx(self):
+        """The neighbor table slot-major: a contiguous, read-only (dmax, N) copy of ``idx.T``."""
+        idx = np.ascontiguousarray(self.idx.T)
+        idx.setflags(write=False)
+        return idx
+
+    @cached_property
+    def _slot_weight_stacks(self):
+        return {}
+
+    def slot_weights(self, n):
+        """``wt.T`` repeated to a read-only (dmax, N, n) stack, built once per width n.
+
+        The full-width multiply costs less than the (dmax, N, 1) broadcast
+        and gives the same products.
+        """
+        stack = self._slot_weight_stacks.get(n)
+        if stack is None:
+            stack = np.repeat(self.wt.T[:, :, None], n, axis=2)
+            stack.setflags(write=False)
+            self._slot_weight_stacks[n] = stack
+        return stack
 
     @cached_property
     def off_abs_sums(self):
@@ -224,20 +249,24 @@ def gather(w: MixingMatrix, Z, weights=None, acc=None):
 
     ``Z`` is an (N, n) block array and ``weights`` an (N, dmax) array
     aligned with the neighbor table (default ``w.wt``; pass signed
-    weights to subtract).  Columns are added one at a time in neighbor
-    order, starting from ``acc`` (or from the first column), so row i is
-    the same sum, in the same order, as a loop over ``neighbor_lists[i]``.
+    weights to subtract).  The terms sit slot-major in one contiguous
+    (dmax, N, n) stack, ``acc`` is added into slot 0, and one
+    ``np.add.reduce`` over the slot axis adds the slots element by
+    element in slot order, so row i is ``((acc_i + t_0) + t_1) + ...``,
+    the same sum in the same order as a loop over ``neighbor_lists[i]``.
     Row i reads only rows of Z in node i's neighborhood.  Neither ``Z``
     nor ``acc`` is modified.
     """
-    weights = w.wt if weights is None else weights
-    # slot-major (dmax, N, n): each slot is one contiguous (N, n) block
-    terms = np.asarray(Z).take(w.idx.T, axis=0)
-    terms *= weights.T[:, :, None]
-    out = terms[0] if acc is None else acc + terms[0]
-    for k in range(1, len(terms)):
-        out += terms[k]
-    return out
+    Z = np.asarray(Z)
+    terms = Z.take(w.slot_idx, axis=0)
+    if weights is None:
+        terms *= w.slot_weights(Z.shape[1])
+    else:
+        terms *= weights.T[:, :, None]
+    if acc is not None:
+        # acc + t_0 and t_0 + acc are the same IEEE sum
+        terms[0] += acc
+    return np.add.reduce(terms, axis=0)
 
 
 def laplacian_quadratic(w: MixingMatrix, x) -> float:

@@ -133,6 +133,24 @@ class TestErrorMetrics:
         assert error_v(X, p) == 501500.0
         assert error_v(X, p) == np.mean([p.global_objective(X[i:i + 1]) for i in range(2)])
 
+    def test_logistic_error_v_equals_the_label_multiply(self):
+        # the signed features fold the +-1 labels into the matmul exactly:
+        # bit for bit the margins-then-labels form, over repeated calls on
+        # the same work buffers
+        for N, T, n, seed in ((10, 200, 5, 3), (20, 2000, 20, 1), (7, 71, 3, 5)):
+            p = generate_logistic(N, T, n, seed=seed, mu=1e-2)
+            rng = np.random.default_rng(seed)
+            for scale in (0.0, 1e-3, 1.0, 1e2, 1e3):
+                X = scale * rng.standard_normal((N, n))
+                s = p.features @ X.T
+                loss = s * -p.labels[:, None]
+                ref = (np.maximum(loss, 0.0) + np.log1p(np.exp(-np.abs(s)))).sum(axis=0) \
+                    + N * 0.5 * p.mu * (X * X).sum(axis=1)
+                assert error_v(X, p) == float(np.mean(ref))
+        signed, s_buf, loss_buf = p.error_v_workspace
+        assert p.error_v_workspace[0] is signed
+        assert signed.shape == (71, 3) and s_buf.shape == loss_buf.shape == (71, 7)
+
     def test_error_v_dominates_optimum(self):
         p = generate_logistic(4, 40, 3, seed=8, mu=1e-2)
         o = oracle_logistic(p)

@@ -89,6 +89,21 @@ class TestLedger:
         np.testing.assert_array_equal(ledger.sent, [3, 6, 9])
         assert ledger.rounds == 2 and ledger.max_sp == 22 and ledger.total_sent == 18
 
+    def test_max_sp_follows_mixed_charges(self):
+        ledger = CostLedger([1, 2, 3, 4])
+        assert ledger.max_sp == 0
+        charges = [7, np.array([0, 9, 1, 2], dtype=np.int64), np.int64(3),
+                   np.array([20, 0, 0, 5], dtype=np.int64), 0, 11,
+                   np.array([0, 0, 40, 0], dtype=np.int64)]
+        for k, charge in enumerate(charges):
+            if k % 2:
+                ledger.charge_local(charge)
+            else:
+                ledger.charge_round(charge, 1)
+            assert type(ledger.max_sp) is int
+            assert ledger.max_sp == int(ledger.sp.max())
+        assert ledger.max_sp == 62
+
 
 class TestGather:
     def test_concatenation_order(self):

@@ -14,9 +14,11 @@ from efix.problems import (QuadraticProblem, constants_for, generate_logistic,
                            generate_quadratic, quadratic_constants, stacked_gradient)
 from efix.simnet import (CostLedger, NodeRuntime, apply_updates, collect_payloads,
                          deliver, gather_state, run_round)
-from efix.solvers import (Budget, OuterRecord, Schedule, Trace, _diging_update_factory,
-                          _efix_cheb_update, _efix_node_blocks, _emit, cbar, diging,
-                          efix_g, efix_q, efix_q_stopping, epsilon_balance, inner_count)
+from efix import solvers
+from efix.solvers import (DIVERGENCE_CEILING, Budget, OuterRecord, Schedule, Trace,
+                          _diging_update_factory, _efix_cheb_update, _efix_node_blocks, _emit,
+                          _round_fault, cbar, diging, efix_g, efix_q, efix_q_stopping,
+                          epsilon_balance, inner_count)
 from efix.topology import Graph, generate_geometric_graph, laplacian_apply, metropolis_weights
 
 
@@ -428,7 +430,7 @@ class TestDiging:
     def test_divergence_flag(self):
         p, w, consts = random_setup(18, N=5, n=2)
         tr = diging(p, w, alpha=1e6, budget=Budget(rounds=5000))
-        assert tr.diverged or tr.numerical_failure
+        assert tr.diverged and not tr.numerical_failure
 
     def test_outer_budget_rejected(self):
         p, w, consts = random_setup(19, N=4, n=2)
@@ -450,6 +452,92 @@ class TestDiging:
         monkeypatch.setattr(type(p), "stacked_gradient", counted)
         diging(p, w, alpha=0.05, budget=Budget(rounds=25), oracle=oracle)
         assert len(calls) == 4 * (25 + 1)
+
+
+def two_checks(Z):
+    """The round guard as two separate checks: finiteness, then the row-norm ceiling."""
+    if not np.isfinite(Z).all():
+        return "numerical_failure"
+    if np.max(np.linalg.norm(Z, axis=1)) > DIVERGENCE_CEILING:
+        return "diverged"
+    return None
+
+
+class TestRoundGuard:
+    @np.errstate(over="ignore")
+    def test_equals_the_two_checks(self):
+        rng = np.random.default_rng(11)
+        rows = [np.zeros(4), rng.standard_normal(4), np.full(4, 1e200),
+                np.array([1e200, 0.0, 0.0, 0.0]), np.array([1e154, 1e154, 0.0, 0.0])]
+        for bad in (np.nan, np.inf, -np.inf):
+            for row in (np.zeros(4), np.full(4, 1e200)):
+                row = row.copy()
+                row[2] = bad
+                rows.append(row)
+        cases = [np.stack([rng.standard_normal(4), row]) for row in rows]
+        # 10^4 rows drawn at ||row|| = 1e12 (1 +- 1e-15)
+        seen = set()
+        for _ in range(10_000):
+            v = rng.standard_normal(4)
+            v *= DIVERGENCE_CEILING * (1.0 + rng.uniform(-1e-15, 1e-15)) / np.linalg.norm(v)
+            Z = np.stack([rng.standard_normal(4), v])
+            assert _round_fault(Z) == two_checks(Z)
+            seen.add(two_checks(Z))
+        assert seen == {None, "diverged"}
+        expected = [None, None, "diverged", "diverged", "diverged"] \
+            + ["numerical_failure"] * 6
+        assert [two_checks(Z) for Z in cases] == expected
+        assert [_round_fault(Z) for Z in cases] == expected
+
+    def guarded_start(self, x0):
+        p, w, consts = random_setup(21, N=5, n=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return efix_q_stopping(p, w, Schedule(theta0=2 * consts.L), Budget(rounds=50),
+                                   x0=x0)
+
+    def test_nan_start_is_a_numerical_failure(self):
+        x0 = np.zeros(10)
+        x0[3] = np.nan
+        tr = self.guarded_start(x0)
+        assert tr.numerical_failure and not tr.diverged
+        assert tr.records[-1].round == 1
+
+    def test_overflowing_start_diverges(self):
+        # finite iterate whose squared row norms overflow: the fallback branch
+        tr = self.guarded_start(np.full(10, 1e200))
+        assert tr.diverged and not tr.numerical_failure
+        assert tr.records[-1].round == 1
+        assert np.isfinite(tr.x_final).all()
+        with np.errstate(over="ignore"):
+            assert np.isinf(tr.x_final * tr.x_final).any()
+
+    # "tracker": X stays finite while U overflows, which only DIGing's own
+    # isfinite(U) check reports as a numerical failure
+    @pytest.mark.parametrize("run", ["diging", "tracker", "nan", "overflow"])
+    def test_flags_the_same_round_as_the_two_checks(self, monkeypatch, run):
+        p, w, consts = random_setup(18, N=5, n=2)
+
+        def solve():
+            if run == "diging":
+                return diging(p, w, alpha=1e6, budget=Budget(rounds=5000))
+            if run == "tracker":
+                return diging(p, w, alpha=1.0, budget=Budget(rounds=10), x0=np.full(10, 1e305))
+            x0 = np.full(10, 1e200) if run == "overflow" else np.full(10, np.nan)
+            return efix_q_stopping(p, w, Schedule(theta0=2 * consts.L), Budget(rounds=50),
+                                   x0=x0)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = solve()
+        monkeypatch.setattr(solvers, "_round_fault", two_checks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = solve()
+        assert (tr.diverged, tr.numerical_failure) == (ref.diverged, ref.numerical_failure)
+        assert tr.diverged or tr.numerical_failure
+        if run == "tracker":
+            assert tr.numerical_failure and np.isfinite(tr.x_final).all()
+        # repr: the rows hold NaNs, and repr tells every float apart
+        assert repr([astuple(r) for r in tr.records]) == repr([astuple(r) for r in ref.records])
+        assert np.array_equal(tr.x_final, ref.x_final, equal_nan=True)
 
 
 class TestChebyshevRound:

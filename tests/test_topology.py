@@ -177,6 +177,28 @@ class TestNeighborTable:
             assert np.array_equal(Z.view(np.int64), Z0.view(np.int64))
             assert np.array_equal(acc.view(np.int64), acc0.view(np.int64))
         assert w.idx.shape == (100, 16)
+        # one network at n = 1, 10, 1 in turn: the default weights' stack
+        # is cached per width, and a stack of the wrong width must never
+        # be served
+        g = generate_geometric_graph(30, 2)
+        w = metropolis_weights(g)
+        rng = np.random.default_rng(5)
+        for n in (1, 10, 1):
+            Z = rng.standard_normal((g.node_count, n))
+            out = gather(w, Z)
+            assert out.shape == Z.shape
+            for i in range(g.node_count):
+                ref = None
+                for k, j in enumerate(g.neighbor_lists[i]):
+                    term = w.off_diag[i][k] * Z[j]
+                    ref = term if ref is None else ref + term
+                assert np.array_equal(out[i].view(np.int64), ref.view(np.int64))
+        for n in (1, 10):
+            stack = w.slot_weights(n)
+            assert stack.shape == (w.idx.shape[1], g.node_count, n)
+            assert w.slot_weights(n) is stack and not stack.flags.writeable
+        assert w.slot_idx.flags.c_contiguous and not w.slot_idx.flags.writeable
+        assert np.array_equal(w.slot_idx, w.idx.T)
 
     def test_absolute_off_diagonal_sums(self):
         w = metropolis_weights(generate_geometric_graph(30, 2))
