@@ -66,10 +66,10 @@ def load_config(path, overrides):
                                ("seed", "problem", "seed"), ("seed", "network", "seed")):
         if overrides.get(flag) is not None:
             cfg.setdefault(section, {})[key] = overrides[flag]
-    if overrides.get("budget_rounds") is not None:
-        cfg["budget"] = {"rounds": overrides["budget_rounds"]}
-    if overrides.get("budget_outer") is not None:
-        cfg["budget"] = {"outer": overrides["budget_outer"]}
+    budget = {key: overrides[f"budget_{key}"] for key in ("rounds", "outer")
+              if overrides.get(f"budget_{key}") is not None}
+    if budget:
+        cfg["budget"] = budget
     return cfg
 
 

@@ -13,7 +13,6 @@ relaxation, the extrapolation weights and a certified rate.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -179,23 +178,20 @@ def dense_iteration_matrix(sub: PenaltySubproblem):
 
 
 def contraction_estimate(sub: PenaltySubproblem) -> float:
-    """Upper estimate of ||M||, the JOR convergence factor, in (0, 1).
+    """Spectral radius rho of the JOR matrix M, its certified rate, in (0, 1).
 
-    The spectral norm is used when it certifies contraction; when it
-    reaches 1 while the spectrum still contracts, the spectral radius
-    (inflated by 1e-6) is substituted with a warning, because the 2-norm
-    of the nonsymmetric M can exceed 1 even for convergent iterations.
+    D^{1/2} M D^{-1/2} = I - q S with the symmetric S = D^{-1/2} A D^{-1/2},
+    so rho = max |1 - q lambda(S)| is also the norm of M in ||z||_{D^{1/2}} =
+    ||D^{1/2} z||: ||z_k - x*||_{D^{1/2}} <= rho^k ||z_0 - x*||_{D^{1/2}}.
     """
-    M = dense_iteration_matrix(sub)
-    rho = float(np.linalg.norm(M, 2))
+    A, _ = dense_system(sub)
+    s = np.sqrt(sub.dinv.reshape(-1))
+    lam = np.linalg.eigvalsh(s[:, None] * A * s)
+    rho = float(np.abs(1.0 - sub.q * lam).max())
     if rho >= 1.0:
-        sr = float(np.max(np.abs(np.linalg.eigvals(M)))) * (1.0 + 1e-6)
-        if sr >= 1.0:
-            raise NonContractiveError(
-                f"iteration matrix is not contractive (norm {rho:.6g}, spectral radius {sr:.6g}); "
-                f"q={sub.q:.6g} lies outside the convergence region")
-        warnings.warn(f"spectral norm {rho:.6g} >= 1; falling back to spectral radius {sr:.6g}")
-        rho = sr
+        raise NonContractiveError(
+            f"iteration matrix is not contractive (spectral radius {rho:.6g}); "
+            f"q={sub.q:.6g} lies outside the convergence region")
     return max(rho, 1e-12)
 
 

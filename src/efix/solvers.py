@@ -36,9 +36,9 @@ class Schedule:
     uses theta_s = (s+1) theta0 (with theta0 = 1 the stage penalties are
     1, 2, 3, ...).  eps_rule "balance" matches the inner tolerance to the
     penalty approximation error; "reciprocal" uses eps0 / s with eps0
-    defaulting to theta0.  ``q_mode`` and ``q_safety`` are accepted and
-    ignored: each stage's Chebyshev rounds sweep at their own relaxation
-    q = 2 / (a + b), so no schedule value sets q.
+    defaulting to theta0.  ``q_mode`` is accepted and ignored, for callers
+    that still pass it: each stage's Chebyshev rounds sweep at their own
+    relaxation q = 2 / (a + b), so no schedule value sets q.
     """
 
     theta0: float
@@ -46,7 +46,6 @@ class Schedule:
     eps_rule: str = "balance"
     eps0: float | None = None
     q_mode: str = "fixed"
-    q_safety: float = 0.99
 
     def __post_init__(self):
         if self.theta_rule not in ("factorial", "linear"):
@@ -270,7 +269,11 @@ def _run_efix(problem, w, sched, budget, algo, stopping=False, oracle=None, x0=N
     cbar_sum = 2.0 * cbar(problem, consts=consts)
     eps_prev = None
     s = 0
-    stop = False
+    # k(0) is sized from the gradient norm at x0, so a planned run classifies x0 first
+    fault = None if stopping else _round_fault(Z)
+    if fault:
+        setattr(trace, fault, True)
+    stop = fault is not None
     while not stop:
         if budget.outer is not None and s >= budget.outer:
             break

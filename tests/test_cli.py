@@ -262,6 +262,15 @@ class TestRun:
         rows = read_rows(out2)
         assert rows[-1]["round"] == "7"
 
+    def test_budget_flags_combine(self, tmp_path):
+        # the two flags form one budget; neither replaces the other
+        cfg = base_config(tmp_path, budget={"scalar_products": 5})
+        assert main(["run", "--config", cfg, "--budget-rounds", "7",
+                     "--budget-outer", "1"]) == 0
+        meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
+        assert meta["config"]["budget"] == {"rounds": 7, "outer": 1}
+        assert read_rows(tmp_path / "trace.csv")[-1]["round"] == "7"
+
     def test_seed_override_changes_instance(self, tmp_path):
         cfg = base_config(tmp_path, budget={"rounds": 3})
         main(["run", "--config", cfg])

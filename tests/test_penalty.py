@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,30 @@ class TestContraction:
             for k in range(1, 30):
                 z = jor_step(z, sub)
                 assert np.linalg.norm(z - x_star) <= rho ** k * d0 * (1 + 1e-9)
+
+    def test_radius_certifies_the_d_half_norm(self):
+        # rho(M) is the norm of M in ||z||_{D^{1/2}} = ||D^{1/2} z||; the plain
+        # 2-norm of the nonsymmetric M exceeds 1 on many of these instances
+        for seed in range(6):
+            L = random_instance(seed)[3]
+            for mult in (2, 24, 240, 5040):
+                sub, _, _, _ = random_instance(seed, theta=mult * L)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rho = contraction_estimate(sub)
+                A, c = dense_system(sub)
+                s = np.sqrt(sub.dinv.reshape(-1))
+                lam = np.linalg.eigvalsh(s[:, None] * A * s)
+                radius = np.max(np.abs(np.linalg.eigvals(dense_iteration_matrix(sub))))
+                assert rho == pytest.approx(np.max(np.abs(1.0 - sub.q * lam)), rel=1e-12)
+                assert rho == pytest.approx(radius, rel=1e-12)
+                x_star = np.linalg.solve(A, c)
+                d_half = np.sqrt(sub.d.reshape(-1))
+                z = x_star + np.random.default_rng(seed).standard_normal(x_star.size)
+                d0 = np.linalg.norm(d_half * (z - x_star))
+                for k in range(1, 31):
+                    z = jor_step(z, sub)
+                    assert np.linalg.norm(d_half * (z - x_star)) <= rho ** k * d0 * (1 + 1e-9)
 
 
 class TestSystemBounds:

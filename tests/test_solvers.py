@@ -177,8 +177,8 @@ class TestEfixQ:
 
     def test_relaxation_q_leaves_iterates_unchanged(self):
         p, w, consts = random_setup(8)
-        a = efix_q(p, w, Schedule(theta0=2 * consts.L, q_safety=0.99), Budget(outer=3))
-        b = efix_q(p, w, Schedule(theta0=2 * consts.L, q_safety=0.3), Budget(outer=3))
+        a = efix_q(p, w, Schedule(theta0=2 * consts.L, q_mode="fixed"), Budget(outer=3))
+        b = efix_q(p, w, Schedule(theta0=2 * consts.L, q_mode="per_stage"), Budget(outer=3))
         assert a.records == b.records
         np.testing.assert_array_equal(a.x_final, b.x_final)
         # the stage records carry the relaxation the rounds swept with
@@ -489,11 +489,26 @@ class TestRoundGuard:
         assert [two_checks(Z) for Z in cases] == expected
         assert [_round_fault(Z) for Z in cases] == expected
 
-    def guarded_start(self, x0):
+    def guarded_start(self, x0, solve=efix_q_stopping, logistic=False):
         p, w, consts = random_setup(21, N=5, n=2)
+        if logistic:
+            p = generate_logistic(5, 40, 2, seed=21, mu=1e-2)
+            consts = constants_for(p)
         with np.errstate(over="ignore", invalid="ignore"):
-            return efix_q_stopping(p, w, Schedule(theta0=2 * consts.L), Budget(rounds=50),
-                                   x0=x0)
+            return solve(p, w, Schedule(theta0=2 * consts.L), Budget(rounds=50), x0=x0)
+
+    @pytest.mark.parametrize("solve, logistic", [(efix_q, False), (efix_g, False),
+                                                 (efix_g, True)])
+    def test_planned_variants_classify_the_start(self, solve, logistic):
+        # k(0) is sized from the gradient norm at x0, so a planned run stops
+        # on a bad start before stage 0 is set up, with no row and no stage
+        nan_start = np.zeros(10)
+        nan_start[3] = np.nan
+        for x0, failed in ((nan_start, True), (np.full(10, 1e200), False)):
+            tr = self.guarded_start(x0, solve, logistic)
+            assert (tr.numerical_failure, tr.diverged) == (failed, not failed)
+            assert tr.records == [] and tr.outer == []
+            np.testing.assert_array_equal(tr.x_final, x0)
 
     def test_nan_start_is_a_numerical_failure(self):
         x0 = np.zeros(10)
