@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -11,6 +12,11 @@ class OracleSolution:
     y_star: np.ndarray
     f_star: float
     method: str
+
+    @cached_property
+    def y_norm(self):
+        """||y*||, computed once for every ``error_e`` row."""
+        return np.linalg.norm(self.y_star)
 
 
 @dataclass
@@ -36,17 +42,34 @@ def oracle_quadratic(problem) -> OracleSolution:
                           method="direct-solve")
 
 
+def _node_order_sum(stack):
+    """0 + stack[0] + stack[1] + ..., left to right, as Python's ``sum`` adds node terms.
+
+    Not ``np.add.reduce(stack, axis=0)``: that adds in node order only
+    while the node axis is outermost in memory, and sums pairwise when it
+    is the contiguous one.
+    """
+    total = 0.0 + stack[0]
+    for term in stack[1:]:
+        total += term
+    return total
+
+
 def oracle_logistic(problem, tol=1e-10, max_iter=100) -> OracleSolution:
-    """Centralized damped Newton on the strongly convex global objective."""
+    """Centralized damped Newton on the strongly convex global objective.
+
+    The full gradient and Hessian add the nodes' terms in node order, from
+    one batched pass of ``stacked_gradient`` and ``stacked_hessian``.
+    """
     n = problem.dim
     N = problem.node_count
     y = np.zeros(n)
 
     def full_grad(y):
-        return sum(problem.local_gradient(i, y) for i in range(N))
+        return _node_order_sum(problem.stacked_gradient(np.repeat(y[None], N, axis=0)))
 
     def full_hess(y):
-        return sum(problem.local_hessian(i, y) for i in range(N))
+        return _node_order_sum(problem.stacked_hessian(np.repeat(y[None], N, axis=0)))
 
     for _ in range(max_iter):
         g = full_grad(y)
@@ -69,13 +92,18 @@ def solve_reference(problem, **kwargs) -> OracleSolution:
     return oracle_logistic(problem, **kwargs)
 
 
+def _node_distances(x, oracle: OracleSolution):
+    """||x_i - y*|| per node, by the steps ``np.linalg.norm(..., axis=1)`` takes."""
+    D = np.asarray(x, dtype=float).reshape(-1, oracle.y_star.size) - oracle.y_star
+    return np.sqrt(np.add.reduce(D * D, axis=1))
+
+
 def error_e(x, oracle: OracleSolution) -> float:
     """Average per-node relative distance to the oracle solution."""
-    ynorm = np.linalg.norm(oracle.y_star)
+    ynorm = oracle.y_norm
     if ynorm == 0:
         raise ValueError("oracle solution is zero; relative error undefined")
-    X = np.asarray(x, dtype=float).reshape(-1, oracle.y_star.size)
-    return float(np.mean(np.linalg.norm(X - oracle.y_star, axis=1)) / ynorm)
+    return float(np.mean(_node_distances(x, oracle)) / ynorm)
 
 
 def error_v(x, problem) -> float:
@@ -109,8 +137,7 @@ def error_v(x, problem) -> float:
 
 
 def max_node_error(x, oracle: OracleSolution) -> float:
-    X = np.asarray(x, dtype=float).reshape(-1, oracle.y_star.size)
-    return float(np.max(np.linalg.norm(X - oracle.y_star, axis=1)))
+    return float(np.max(_node_distances(x, oracle)))
 
 
 def loglog_slope(thetas, errors) -> float:

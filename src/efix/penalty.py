@@ -54,6 +54,17 @@ class PenaltySubproblem:
     def dim(self):
         return self.A_self.shape[1]
 
+    @cached_property
+    def coupling_weights(self):
+        """The blocks' weights -theta w_ij as ``gather`` reads them, built once per subproblem.
+
+        A read-only full-width (dmax, N, n) stack, like ``w.slot_weights(n)``:
+        the same products as the (dmax, N, 1) broadcast, at less cost.
+        """
+        stack = -(self.theta * self.w.slot_weights(self.dim))
+        stack.setflags(write=False)
+        return stack
+
 
 def assemble(h_blocks, c_blocks, w: MixingMatrix, theta) -> PenaltySubproblem:
     """Build the subproblem from local Hessian blocks and right-hand sides."""
@@ -154,7 +165,7 @@ def penalty_gradient(sub: PenaltySubproblem, z):
     N, n = sub.node_count, sub.dim
     Z = z.reshape(N, n)
     acc = np.matmul(sub.A_self, Z[..., None])[..., 0]
-    g = gather(sub.w, Z, weights=-(sub.theta * sub.w.wt), acc=acc) - sub.c
+    g = gather(sub.w, Z, weights=sub.coupling_weights, acc=acc) - sub.c
     g = g.reshape(z.shape)
     return g, float(np.linalg.norm(g))
 

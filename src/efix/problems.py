@@ -77,7 +77,10 @@ class QuadraticProblem:
         return self.B[i], self.B[i] @ self.b[i]
 
     def global_objective(self, y):
-        return sum(self.local_objective(i, y) for i in range(self.node_count))
+        """sum_i f_i(y): ``local_objective``'s steps stacked, its terms added in node order."""
+        D = np.asarray(y, dtype=float) - self.b
+        quad = np.matmul(D[:, None, :], np.matmul(self.B, D[..., None]))[:, 0, 0]
+        return sum((0.5 * quad).tolist())
 
     @cached_property
     def expanded_objective(self):
@@ -90,6 +93,10 @@ class QuadraticProblem:
         r = np.einsum("ijk,ik->j", self.B, self.b)
         f0 = 0.5 * float(np.einsum("ij,ijk,ik->", self.b, self.B, self.b))
         return H, r, f0
+
+    @cached_property
+    def constants(self):
+        return quadratic_constants(self)
 
     def to_json(self):
         return json.dumps({
@@ -158,13 +165,12 @@ class LogisticProblem:
         matmul per class; ``array_split`` partitions have at most two.
         Built on first use: an unscaled problem never needs it.
         """
-        sizes = np.array([len(J) for J in self.partition], dtype=int)
-        classes = []
-        for m in np.unique(sizes):
-            nodes = np.flatnonzero(sizes == m)
-            rows = np.array([self.partition[i] for i in nodes], dtype=int).reshape(len(nodes), m)
-            classes.append((nodes, self.features[rows], self.labels[rows]))
-        return tuple(classes)
+        return tuple((nodes, self.features[rows], self.labels[rows])
+                     for nodes, rows in _size_class_rows(self.partition))
+
+    @cached_property
+    def constants(self):
+        return logistic_constants(self)
 
     @cached_property
     def error_v_workspace(self):
@@ -223,6 +229,21 @@ class LogisticProblem:
             G[nodes] = np.matmul((coef * z)[:, None, :], F)[:, 0, :] + self.mu * Y
         return G
 
+    def stacked_hessian(self, X):
+        """All N local Hessians as an (N, n, n) array, one batched pass per size class.
+
+        Row i runs ``local_hessian``'s steps in its matmul shapes, so it is
+        bitwise equal to ``local_hessian(i, X[i])``.
+        """
+        X = np.asarray(X, dtype=float)
+        H = np.empty(X.shape + X.shape[-1:])
+        eye = self.mu * np.eye(self.dim)
+        for nodes, F, z in self.size_classes:
+            t = z * np.matmul(F, X[nodes][..., None])[..., 0]
+            f = _sigmoid(t) * _sigmoid(-t)
+            H[nodes] = np.matmul(F.transpose(0, 2, 1) * f[:, None, :], F) + eye
+        return H
+
     def curvature_coeffs(self, i, y):
         """Per-sample (psi-1)/psi^2 factors; lie in (0, 1/4]."""
         t = self.margins(i, y)
@@ -245,6 +266,14 @@ class LogisticProblem:
             + self.node_count * 0.5 * self.mu * float(y @ y)
 
 
+def _size_class_rows(partition):
+    """``(nodes, rows)`` per block size m: the nodes with |J_i| = m and their (k, m) sample rows."""
+    sizes = np.array([len(J) for J in partition], dtype=int)
+    for m in np.unique(sizes):
+        nodes = np.flatnonzero(sizes == m)
+        yield nodes, np.array([partition[i] for i in nodes], dtype=int).reshape(len(nodes), m)
+
+
 def generate_quadratic(N, n, seed, spectrum=(1.0, 101.0), shift_range=(1.0, 31.0)):
     """Random quadratic instance.
 
@@ -259,28 +288,29 @@ def generate_quadratic(N, n, seed, spectrum=(1.0, 101.0), shift_range=(1.0, 31.0
         raise ValueError(f"problem spectrum must be [low, high] with 0 < low <= high, "
                          f"got {list(spectrum)}")
     rng = np.random.default_rng(seed)
-    B = np.empty((N, n, n))
+    C = np.empty((N, n, n))
+    S = np.empty((N, n))
     b = np.empty((N, n))
+    # the draws stay per node, in the order that fixes the instance of a seed
     for i in range(N):
-        C = rng.standard_normal((n, n))
-        _, P = np.linalg.eigh((C + C.T) / 2.0)
-        S = rng.uniform(spectrum[0], spectrum[1], n)
-        M = (P * S) @ P.T
-        B[i] = (M + M.T) / 2.0
+        C[i] = rng.standard_normal((n, n))
+        S[i] = rng.uniform(spectrum[0], spectrum[1], n)
         b[i] = rng.uniform(shift_range[0], shift_range[1], n)
-    return QuadraticProblem(B, b)
+    _, P = np.linalg.eigh((C + C.transpose(0, 2, 1)) / 2.0)
+    M = (P * S[:, None, :]) @ P.transpose(0, 2, 1)
+    return QuadraticProblem((M + M.transpose(0, 2, 1)) / 2.0, b)
 
 
 def quadratic_constants(p: QuadraticProblem) -> ProblemConstants:
-    """L = max_i l_i, mu = min_i mu_i from the block spectra; J = sqrt(2 L f(0))."""
-    ls, mus = [], []
-    for i in range(p.node_count):
-        ev = np.linalg.eigvalsh(p.B[i])
-        mus.append(ev[0])
-        ls.append(ev[-1])
-    L = float(max(ls))
-    mu = float(min(mus))
-    f0 = float(sum(0.5 * p.b[i] @ (p.B[i] @ p.b[i]) for i in range(p.node_count)))
+    """L = max_i l_i, mu = min_i mu_i from the block spectra; J = sqrt(2 L f(0)).
+
+    f(0) adds the nodes' terms (1/2) b_i^T B_ii b_i left to right in node order.
+    """
+    ev = np.linalg.eigvalsh(p.B)
+    L = float(ev[:, -1].max())
+    mu = float(ev[:, 0].min())
+    Bb = np.matmul(p.B, p.b[..., None])
+    f0 = float(sum(np.matmul((0.5 * p.b)[:, None, :], Bb)[:, 0, 0].tolist()))
     return ProblemConstants(L=L, mu=mu, kappa=mu * L / (mu + L),
                             J=math.sqrt(2.0 * L * f0), f0=f0)
 
@@ -299,9 +329,8 @@ def logistic_constants(p: LogisticProblem) -> ProblemConstants:
 
 
 def constants_for(problem):
-    if problem.family == "quadratic":
-        return quadratic_constants(problem)
-    return logistic_constants(problem)
+    """The problem's ``ProblemConstants``, computed on first use and kept on it."""
+    return problem.constants
 
 
 _LABEL_MAP = {1.0: 1.0, -1.0: -1.0, 0.0: -1.0}
@@ -368,10 +397,11 @@ def scale_features(p: LogisticProblem) -> LogisticProblem:
     fixed point is returned unchanged (division by exactly 1.0).
     """
     worst = 0.0
-    for J in p.partition:
-        D = p.features[J]
-        if len(J):
-            worst = max(worst, float(np.linalg.eigvalsh(D.T @ D)[-1]))
+    for _, rows in _size_class_rows(p.partition):
+        if rows.shape[1]:
+            F = p.features[rows]
+            gram = np.matmul(F.transpose(0, 2, 1), F)
+            worst = max(worst, float(np.linalg.eigvalsh(gram)[:, -1].max()))
     c = math.sqrt(worst)
     if c == 0.0:
         raise ValueError("all-zero dataset cannot be scaled")

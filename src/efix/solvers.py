@@ -91,6 +91,9 @@ class Budget:
                 continue
             if isinstance(limit, bool) or not isinstance(limit, numbers.Real):
                 raise ValueError(f"budget limit {name} must be a number, got {limit!r}")
+            # a NaN limit is never reached: ledger.rounds >= nan is always false
+            if not isinstance(limit, numbers.Integral) and not math.isfinite(limit):
+                raise ValueError(f"budget limit {name} must be finite, got {limit}")
             if limit < 0:
                 raise ValueError(f"budget limit {name} must be nonnegative, got {limit}")
 

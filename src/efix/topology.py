@@ -155,11 +155,17 @@ def geometric_edges(points, radius):
     N = points.shape[0]
     diff = points[:, None, :] - points[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=2))
-    nbrs = []
-    for i in range(N):
-        row = [int(j) for j in range(N) if j != i and dist[i, j] < radius]
-        nbrs.append(tuple(row))
-    return tuple(nbrs)
+    linked = dist < radius
+    np.fill_diagonal(linked, False)
+    # np.nonzero walks the mask row by row, so each row's columns come sorted
+    cols = np.nonzero(linked)[1].tolist()
+    return tuple(tuple(row) for row in _rows(cols, linked.sum(axis=1)))
+
+
+def _rows(flat, counts):
+    """``flat`` cut into consecutive slices of the given lengths, one per node."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
 def generate_geometric_graph(N, seed, max_attempts=1000):
@@ -196,13 +202,13 @@ def generate_geometric_graph(N, seed, max_attempts=1000):
 
 def _neighbor_table(neighbor_lists, off):
     """Padded (idx, wt): padding slots point at the row's own node with weight 0."""
-    N = len(neighbor_lists)
-    dmax = max(len(nb) for nb in neighbor_lists)
-    idx = np.repeat(np.arange(N)[:, None], dmax, axis=1)
-    wt = np.zeros((N, dmax))
-    for i, (nbrs, ws) in enumerate(zip(neighbor_lists, off)):
-        idx[i, :len(nbrs)] = nbrs
-        wt[i, :len(nbrs)] = ws
+    deg = np.array([len(nb) for nb in neighbor_lists])
+    live = np.arange(deg.max()) < deg[:, None]
+    idx = np.repeat(np.arange(len(deg))[:, None], live.shape[1], axis=1)
+    wt = np.zeros(idx.shape)
+    # a boolean mask fills its slots row by row, in neighbor-list order
+    idx[live] = np.concatenate(neighbor_lists)
+    wt[live] = np.concatenate(off)
     idx.setflags(write=False)
     wt.setflags(write=False)
     return idx, wt
@@ -228,13 +234,12 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     """Metropolis rule: w_ij = 1/max(deg i, deg j), diagonal complements the row."""
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    deg = [g.degree(i) for i in range(g.node_count)]
-    off = []
-    diag = np.empty(g.node_count)
-    for i in range(g.node_count):
-        ws = np.array([1.0 / max(deg[i], deg[j]) for j in g.neighbor_lists[i]])
-        off.append(ws)
-        diag[i] = 1.0 - ws.sum()
+    deg = np.array([g.degree(i) for i in range(g.node_count)])
+    cols = np.concatenate(g.neighbor_lists).astype(int)
+    rows = np.repeat(np.arange(g.node_count), deg)
+    off = _rows(1.0 / np.maximum(deg[rows], deg[cols]), deg)
+    # one sum per row: padding zeros could regroup numpy's pairwise sum
+    diag = np.array([1.0 - ws.sum() for ws in off])
     return _build_mixing(g.node_count, g.neighbor_lists, off, diag)
 
 
@@ -245,24 +250,22 @@ def _second_modulus(dense_w):
 
 
 def gather(w: MixingMatrix, Z, weights=None, acc=None):
-    """acc_i + sum_k weights[i, k] Z[idx[i, k]] for every node i at once.
+    """acc_i + sum_k weights[k, i] Z[idx[i, k]] for every node i at once.
 
-    ``Z`` is an (N, n) block array and ``weights`` an (N, dmax) array
-    aligned with the neighbor table (default ``w.wt``; pass signed
-    weights to subtract).  The terms sit slot-major in one contiguous
-    (dmax, N, n) stack, ``acc`` is added into slot 0, and one
-    ``np.add.reduce`` over the slot axis adds the slots element by
-    element in slot order, so row i is ``((acc_i + t_0) + t_1) + ...``,
+    ``Z`` is an (N, n) block array and ``weights`` the neighbor table's
+    weights slot-major, broadcastable to (dmax, N, n) (default
+    ``w.slot_weights(n)``; pass signed weights to subtract).  The terms
+    sit slot-major in one contiguous (dmax, N, n) stack, ``acc`` is
+    added into slot 0, and one ``np.add.reduce`` over the slot axis adds
+    the slots element by element in slot order, so row i is
+    ``((acc_i + t_0) + t_1) + ...``,
     the same sum in the same order as a loop over ``neighbor_lists[i]``.
     Row i reads only rows of Z in node i's neighborhood.  Neither ``Z``
     nor ``acc`` is modified.
     """
     Z = np.asarray(Z)
     terms = Z.take(w.slot_idx, axis=0)
-    if weights is None:
-        terms *= w.slot_weights(Z.shape[1])
-    else:
-        terms *= weights.T[:, :, None]
+    terms *= w.slot_weights(Z.shape[1]) if weights is None else weights
     if acc is not None:
         # acc + t_0 and t_0 + acc are the same IEEE sum
         terms[0] += acc
@@ -286,7 +289,7 @@ def laplacian_quadratic(w: MixingMatrix, x) -> float:
 def laplacian_apply(w: MixingMatrix, X):
     """(I - W (x) I) x on a (N, n) block array; used for residual metrics."""
     X = np.asarray(X, dtype=float)
-    return gather(w, X, weights=-w.wt, acc=(1.0 - w.diag)[:, None] * X)
+    return gather(w, X, weights=-w.slot_weights(X.shape[1]), acc=(1.0 - w.diag)[:, None] * X)
 
 
 def network_to_json(g: Graph, w: MixingMatrix | None = None) -> str:

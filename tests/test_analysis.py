@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from efix.analysis import (OracleSolution, complexity_bound, error_e, error_v,
+from efix.analysis import (OracleSolution, _node_order_sum, complexity_bound, error_e, error_v,
                            first_hit, loglog_slope, max_node_error, oracle_logistic,
                            oracle_quadratic, slope_fit, solve_reference)
 from efix.problems import (LogisticProblem, QuadraticProblem, generate_logistic,
@@ -206,3 +206,60 @@ class TestHittingHelpers:
         o = OracleSolution(np.array([1.0, 0.0]), 0.0, "direct-solve")
         X = np.array([[1.0, 0.0], [3.0, 0.0]])
         assert max_node_error(X.reshape(-1), o) == 2.0
+
+
+class TestStackedOracle:
+    """The batched Newton oracle and the cached ``||y*||`` leave every bit as the loops did."""
+
+    @staticmethod
+    def loop_newton(problem, tol=1e-10, max_iter=100):
+        N = problem.node_count
+        y = np.zeros(problem.dim)
+        for _ in range(max_iter):
+            g = sum(problem.local_gradient(i, y) for i in range(N))
+            if np.linalg.norm(g) <= tol:
+                return y, float(problem.global_objective(y))
+            step = np.linalg.solve(sum(problem.local_hessian(i, y) for i in range(N)), g)
+            t = 1.0
+            f_here = problem.global_objective(y)
+            while problem.global_objective(y - t * step) > f_here and t > 1e-14:
+                t *= 0.5
+            y = y - t * step
+        raise AssertionError("reference Newton did not converge")
+
+    def test_logistic_oracle(self):
+        rng = np.random.default_rng(43)
+        D = rng.standard_normal((12, 3))
+        zeta = np.where(rng.random(12) < 0.5, -1.0, 1.0)
+        cases = [generate_logistic(20, 2000, 20, seed=1, mu=1e-2),
+                 generate_logistic(10, 203, 4, seed=3, mu=1e-2),
+                 generate_logistic(4, 60, 5, seed=2, mu=1e-3),
+                 LogisticProblem(D, zeta, [[0, 3, 5], [], [1], [2, 4, 6, 7, 8], [9, 10, 11]], 0.1)]
+        assert len({len(J) for J in cases[1].partition}) == 2
+        for p in cases:
+            o = oracle_logistic(p)
+            y, f = self.loop_newton(p)
+            assert np.array_equal(o.y_star.view(np.int64), y.view(np.int64)) and o.f_star == f
+
+    def test_node_order_sum_in_any_layout(self):
+        rng = np.random.default_rng(45)
+        stack = rng.standard_normal((20, 20)) * 10.0 ** rng.integers(-4, 4, (20, 1))
+        for s in (stack, np.asfortranarray(stack)):
+            assert np.array_equal(_node_order_sum(s).view(np.int64), sum(stack).view(np.int64))
+
+    def test_quadratic_oracle_value(self):
+        for N, n in ((2, 1), (30, 10), (100, 10)):
+            p = generate_quadratic(N, n, seed=N)
+            o = oracle_quadratic(p)
+            assert o.f_star == sum(p.local_objective(i, o.y_star) for i in range(N))
+
+    def test_error_e_equals_the_norm_form(self):
+        p = generate_quadratic(30, 10, seed=11)
+        o = oracle_quadratic(p)
+        rng = np.random.default_rng(44)
+        for scale in (1e-12, 1.0, 1e8):
+            X = o.y_star + scale * rng.standard_normal((30, 10))
+            ref = np.mean(np.linalg.norm(X - o.y_star, axis=1)) / np.linalg.norm(o.y_star)
+            assert error_e(X, o) == float(ref)
+            assert max_node_error(X, o) == float(np.max(np.linalg.norm(X - o.y_star, axis=1)))
+        assert "y_norm" in vars(o)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from efix import solvers
+from efix import problems, solvers
 from efix.cli import main
 from efix.problems import QuadraticProblem
 from efix.topology import generate_geometric_graph, mixing_from_json
@@ -149,6 +149,25 @@ class TestRun:
             err = capsys.readouterr().err
             assert err == f"error: budget limit {key} must be nonnegative, got -5\n"
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_nan_budget_is_config_error(self, tmp_path, capsys):
+        # json.loads accepts NaN; the scalar-product cap ends a run that slips through
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(Path(base_config(tmp_path)).read_text().replace(
+            '"budget": {"rounds": 40}', '"budget": {"rounds": NaN, "scalar_products": 200}'))
+        assert "NaN" in cfg.read_text()
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: budget limit rounds must be finite, got nan\n"
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("algo", ["efix-q", "diging"])
+    def test_run_computes_the_constants_once(self, tmp_path, monkeypatch, algo):
+        calls = []
+        real = problems.quadratic_constants
+        monkeypatch.setattr(problems, "quadratic_constants",
+                            lambda p: calls.append(p) or real(p))
+        assert main(["run", "--config", base_config(tmp_path, algo=algo)]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("schedule, message", [
         ({"q_safety": 5}, "unknown schedule field 'q_safety'"),

@@ -223,6 +223,14 @@ class TestPenaltyGradient:
                     acc = acc - (sub.theta * w.off_diag[i][k]) * Z[j]
                 assert np.array_equal(g[i], acc - sub.c[i])
 
+    def test_coupling_weights_built_once_per_subproblem(self):
+        sub, _, w, _ = random_instance(0, N=12, n=4)
+        stack = sub.coupling_weights
+        assert stack.shape == (w.idx.shape[1], 12, 4) and not stack.flags.writeable
+        assert np.array_equal(stack, -(sub.theta * w.wt).T[:, :, None] * np.ones(4))
+        penalty_gradient(sub, np.ones((12, 4)))
+        assert sub.coupling_weights is stack
+
 
 class TestContraction:
     def test_two_node_norm(self):

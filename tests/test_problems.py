@@ -338,3 +338,99 @@ class TestSerializationAndHash:
     def test_constants_for_dispatch(self):
         assert constants_for(generate_quadratic(2, 2, 0)).mu > 0
         assert constants_for(small_logistic(mu=1e-2)).L == 1.01
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestStackedSetup:
+    """The stacked instance set-up equals the per-node loops it replaced, bit for bit."""
+
+    SHAPES = [(2, 1), (8, 3), (30, 10), (100, 10)]
+
+    @staticmethod
+    def loop_quadratic(N, n, seed, spectrum=(1.0, 101.0), shift_range=(1.0, 31.0)):
+        rng = np.random.default_rng(seed)
+        B = np.empty((N, n, n))
+        b = np.empty((N, n))
+        for i in range(N):
+            C = rng.standard_normal((n, n))
+            _, P = np.linalg.eigh((C + C.T) / 2.0)
+            S = rng.uniform(spectrum[0], spectrum[1], n)
+            M = (P * S) @ P.T
+            B[i] = (M + M.T) / 2.0
+            b[i] = rng.uniform(shift_range[0], shift_range[1], n)
+        return B, b
+
+    @staticmethod
+    def loop_constants(p):
+        ls, mus = [], []
+        for i in range(p.node_count):
+            ev = np.linalg.eigvalsh(p.B[i])
+            mus.append(ev[0])
+            ls.append(ev[-1])
+        L, mu = float(max(ls)), float(min(mus))
+        f0 = float(sum(0.5 * p.b[i] @ (p.B[i] @ p.b[i]) for i in range(p.node_count)))
+        return L, mu, mu * L / (mu + L), math.sqrt(2.0 * L * f0), f0
+
+    @staticmethod
+    def loop_scale(p):
+        worst = 0.0
+        for J in p.partition:
+            D = p.features[J]
+            if len(J):
+                worst = max(worst, float(np.linalg.eigvalsh(D.T @ D)[-1]))
+        return p.features / math.sqrt(worst)
+
+    @pytest.mark.parametrize("N, n", SHAPES)
+    def test_quadratic_instance_and_constants(self, N, n):
+        for seed in (1, 7):
+            p = generate_quadratic(N, n, seed)
+            B, b = self.loop_quadratic(N, n, seed)
+            assert np.array_equal(bits(p.B), bits(B)) and np.array_equal(bits(p.b), bits(b))
+            c = quadratic_constants(p)
+            assert (c.L, c.mu, c.kappa, c.J, c.f0) == self.loop_constants(p)
+            y = np.random.default_rng(seed).standard_normal(n) * 10.0
+            assert p.global_objective(y) == sum(p.local_objective(i, y) for i in range(N))
+
+    def test_custom_spectrum_and_shift(self):
+        p = generate_quadratic(5, 4, 3, spectrum=(2.0, 2.0), shift_range=(-1.0, 1.0))
+        B, b = self.loop_quadratic(5, 4, 3, spectrum=(2.0, 2.0), shift_range=(-1.0, 1.0))
+        assert np.array_equal(bits(p.B), bits(B)) and np.array_equal(bits(p.b), bits(b))
+
+    def test_scale_features_over_two_block_sizes(self):
+        rng = np.random.default_rng(41)
+        D = rng.standard_normal((203, 4)) * 3.0
+        zeta = np.where(rng.random(203) < 0.5, -1.0, 1.0)
+        p = partition_data(D, zeta, 10, seed=2, mu=1e-2)
+        assert sorted({len(J) for J in p.partition}) == [20, 21]
+        assert np.array_equal(bits(scale_features(p).features), bits(self.loop_scale(p)))
+        q = LogisticProblem(D[:12], zeta[:12], [[0, 3, 5], [], [1], [2, 4, 6, 7, 8], [9, 10, 11]],
+                            0.1)
+        assert np.array_equal(bits(scale_features(q).features), bits(self.loop_scale(q)))
+        assert "size_classes" not in vars(p) and "size_classes" not in vars(q)
+
+    def test_stacked_hessian_equals_local_hessian(self):
+        rng = np.random.default_rng(42)
+        D = rng.standard_normal((12, 3))
+        zeta = np.where(rng.random(12) < 0.5, -1.0, 1.0)
+        parts = [[0, 3, 5], [], [1], [2, 4, 6, 7, 8], [9, 10, 11]]
+        for p in (generate_logistic(10, 203, 4, seed=3, mu=1e-2),
+                  LogisticProblem(D, zeta, parts, 0.1)):
+            for scale in (0.1, 1.0, 30.0):
+                X = rng.standard_normal((p.node_count, p.dim)) * scale
+                H = p.stacked_hessian(X)
+                for i in range(p.node_count):
+                    assert np.array_equal(bits(H[i]), bits(p.local_hessian(i, X[i])))
+
+    def test_constants_computed_once_per_problem(self, monkeypatch):
+        import efix.problems as problems
+        calls = []
+        monkeypatch.setattr(problems, "quadratic_constants",
+                            lambda p: calls.append(p) or quadratic_constants(p))
+        p = generate_quadratic(4, 2, 0)
+        first = constants_for(p)
+        assert constants_for(p) is first and calls == [p]
+        logistic = small_logistic()
+        assert constants_for(logistic) is constants_for(logistic)

@@ -257,6 +257,26 @@ class TestEfixQ:
         with pytest.raises(ValueError):
             Budget()
 
+    @pytest.mark.parametrize("key", ["rounds", "outer", "scalar_products"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_budget_rejects_a_non_finite_limit(self, key, value):
+        with pytest.raises(ValueError, match=f"budget limit {key} must be finite"):
+            Budget(**{key: value})
+        assert Budget(**{key: 10 ** 400}) and Budget(**{key: 2.5})
+
+    def test_constants_computed_once_per_problem(self, monkeypatch):
+        calls = []
+        real = solvers.problems.quadratic_constants
+        monkeypatch.setattr(solvers.problems, "quadratic_constants",
+                            lambda p: calls.append(p) or real(p))
+        p, w = generate_quadratic(8, 3, 5), metropolis_weights(generate_geometric_graph(8, 305))
+        L = constants_for(p).L
+        efix_q(p, w, Schedule(theta0=2 * L), Budget(outer=3))
+        efix_q_stopping(p, w, Schedule(theta0=2 * L), Budget(outer=2))
+        diging(p, w, 1 / (10 * L), Budget(rounds=5))
+        cbar(p)
+        assert calls == [p]
+
     def test_criterion4_instance_reaches_1e4_within_40k_scalar_products(self):
         # guards the consensus-aware Chebyshev interval: the Rayleigh bound
         # alone first reached 1e-4 at 156,009 scalar products

@@ -165,7 +165,7 @@ class TestNeighborTable:
             Z0, acc0 = Z.copy(), acc.copy()
             # (weights, their scale of w.wt, accumulator)
             for weights, scale, start in ((None, 1.0, None), (None, 1.0, acc),
-                                          (-(3.0 * w.wt), -3.0, acc)):
+                                          (-(3.0 * w.slot_weights(n)), -3.0, acc)):
                 out = gather(w, Z, weights=weights, acc=start)
                 assert out.shape == (N, n)
                 for i in range(N):
@@ -278,3 +278,52 @@ def topology_reload(text):
     g = graph_from_json(text)
     w = mixing_from_json(text)
     return network_to_json(g, w)
+
+
+class TestStackedSetup:
+    """Edges and Metropolis weights equal the per-node loops they replaced, bit for bit."""
+
+    @staticmethod
+    def loop_edges(points, radius):
+        N = points.shape[0]
+        diff = points[:, None, :] - points[None, :, :]
+        dist = np.sqrt((diff ** 2).sum(axis=2))
+        return tuple(tuple(int(j) for j in range(N) if j != i and dist[i, j] < radius)
+                     for i in range(N))
+
+    @staticmethod
+    def loop_metropolis(g):
+        deg = [g.degree(i) for i in range(g.node_count)]
+        off, diag = [], np.empty(g.node_count)
+        for i in range(g.node_count):
+            ws = np.array([1.0 / max(deg[i], deg[j]) for j in g.neighbor_lists[i]])
+            off.append(ws)
+            diag[i] = 1.0 - ws.sum()
+        W = np.diag(diag)
+        for i, ws in enumerate(off):
+            W[i, list(g.neighbor_lists[i])] = ws
+        ev = np.linalg.eigvalsh(W)
+        return off, diag, float(max(abs(ev[0]), abs(ev[-2])))
+
+    def test_geometric_edges(self):
+        rng = np.random.default_rng(12)
+        for N in (2, 3, 10, 30, 100):
+            for radius in (0.05, math.sqrt(math.log(N) / N), 2.0):
+                points = rng.random((N, 2))
+                edges = geometric_edges(points, radius)
+                assert edges == self.loop_edges(points, radius)
+                assert all(type(j) is int for row in edges for j in row)
+
+    def test_metropolis_weights(self):
+        # dmax reaches 16 at N=100, so the rows' pairwise sums run past 8 terms
+        graphs = [path3(), triangle(), star4(), complete(12)]
+        graphs += [generate_geometric_graph(N, seed) for N in (7, 30, 100) for seed in range(4)]
+        for g in graphs:
+            w = metropolis_weights(g)
+            off, diag, lambda2 = self.loop_metropolis(g)
+            assert len(w.off_diag) == g.node_count
+            for mine, ref in zip(w.off_diag, off):
+                assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
+            assert np.array_equal(w.diag.view(np.int64), diag.view(np.int64))
+            assert w.lambda2 == lambda2 and w.w_bar == float(diag.max())
+        assert max(graphs[-1].degree(i) for i in range(100)) > 8
