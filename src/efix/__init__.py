@@ -7,7 +7,7 @@ from .problems import (QuadraticProblem, LogisticProblem, ProblemConstants,
                        generate_quadratic, quadratic_constants, logistic_constants,
                        constants_for, load_libsvm, scale_features, partition_data,
                        generate_logistic)
-from .penalty import (PenaltySubproblem, assemble_quadratic, assemble_model,
+from .penalty import (PenaltySubproblem, assemble_model,
                       relaxation_bound, jor_step, penalty_gradient,
                       contraction_estimate, NonContractiveError,
                       ChebyshevPlan, chebyshev_plan, relaxed)

@@ -91,21 +91,14 @@ def relaxed(sub: PenaltySubproblem, q) -> PenaltySubproblem:
     return replace(sub, q=float(q), M_self=M_self, p=q * sub.c / sub.d)
 
 
-def assemble_quadratic(problem, w: MixingMatrix, theta, q) -> PenaltySubproblem:
-    """Subproblem of the quadratic family, H_i = B_ii and c_i = B_ii b_i, relaxed to q."""
-    pairs = [problem.model_terms(i, None) for i in range(problem.node_count)]
-    return relaxed(assemble([H for H, _ in pairs], [ci for _, ci in pairs], w, theta), q)
-
-
 def assemble_model(problem, x_prev, w: MixingMatrix, theta) -> PenaltySubproblem:
     """Subproblem of the quadratic model built at the stacked point x_prev.
 
-    H_i = local Hessian at x_prev_i and c_i = H_i x_prev_i - grad f_i(x_prev_i);
-    for quadratic problems this reproduces ``assemble_quadratic`` exactly.
+    H_i = local Hessian at x_prev_i and c_i = H_i x_prev_i - grad f_i(x_prev_i),
+    all from ``problem.stacked_model``; a quadratic's model is its cost.
     """
     X = np.asarray(x_prev, dtype=float).reshape(problem.node_count, -1)
-    pairs = [problem.model_terms(i, X[i]) for i in range(problem.node_count)]
-    return assemble([H for H, _ in pairs], [ci for _, ci in pairs], w, theta)
+    return assemble(*problem.stacked_model(X), w, theta)
 
 
 def relaxation_bound(theta, L, w_bar):

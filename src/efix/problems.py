@@ -1,8 +1,9 @@
 """Problem families: synthetic quadratics and regularized logistic regression.
 
-Both families expose the same local surface per node i: objective value,
-gradient, Hessian, and the quadratic-model terms (H_i, c_i) used by the
-penalty subproblem assembly.  Problems are immutable after construction.
+Both families expose the same local surface per node i (objective value,
+gradient, Hessian, quadratic-model terms (H_i, c_i)) and, bitwise equal to
+it, a stacked one over all N nodes that the solvers call.  Problems are
+immutable after construction.
 """
 
 import hashlib
@@ -68,13 +69,23 @@ class QuadraticProblem:
         return self.B[i]
 
     def model_terms(self, i, y):
-        """(H_i, c_i) of the local quadratic model at y.
-
-        For a quadratic cost the model is the cost itself, so c_i reduces
-        analytically to B_ii b_i independent of y; computing it that way
-        keeps the model path bit-identical to the direct quadratic path.
-        """
+        """(H_i, c_i) of the local model at y: the cost itself, (B_ii, B_ii b_i) at any y."""
         return self.B[i], self.B[i] @ self.b[i]
+
+    def stacked_gradient(self, X):
+        """All N local gradients B_ii (x_i - b_i) as an (N, n) array, in one matmul."""
+        return np.matmul(self.B, (X - self.b)[..., None])[..., 0]
+
+    @cached_property
+    def Bb(self):
+        """The read-only (N, n) stack of B_ii b_i: every stage's right-hand side."""
+        Bb = np.matmul(self.B, self.b[..., None])[..., 0]
+        Bb.setflags(write=False)
+        return Bb
+
+    def stacked_model(self, X):
+        """(H, c) of all N local models: (B, B_ii b_i) at any point X."""
+        return self.B, self.Bb
 
     def global_objective(self, y):
         """sum_i f_i(y): ``local_objective``'s steps stacked, its terms added in node order."""
@@ -99,12 +110,8 @@ class QuadraticProblem:
         return quadratic_constants(self)
 
     def to_json(self):
-        return json.dumps({
-            "n": self.dim,
-            "N": self.node_count,
-            "B": [self.B[i].reshape(-1).tolist() for i in range(self.node_count)],
-            "b": [self.b[i].tolist() for i in range(self.node_count)],
-        })
+        return json.dumps({"n": self.dim, "N": self.node_count,
+                           "B": self.B.reshape(self.node_count, -1).tolist(), "b": self.b.tolist()})
 
     @classmethod
     def from_json(cls, text):
@@ -119,7 +126,16 @@ class QuadraticProblem:
         b = np.array(doc["b"], dtype=float)
         if B.shape != (N, n, n):
             raise ValueError("inconsistent block shapes")
-        return cls(B, b)
+        for name, values in (("B", B), ("b", b)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"problem field {name!r} has a non-finite entry")
+        asym = np.flatnonzero((B != B.transpose(0, 2, 1)).any(axis=(1, 2)))
+        if asym.size:
+            raise ValueError(f"problem field 'B' has a non-symmetric block {asym[0]}")
+        p = cls(B, b)
+        if p.constants.mu <= 0:
+            raise ValueError(f"problem field 'B' is not positive definite: mu={p.constants.mu:.6g}")
+        return p
 
 
 class LogisticProblem:
@@ -215,11 +231,7 @@ class LogisticProblem:
         return (coef * z) @ D + self.mu * y
 
     def stacked_gradient(self, X):
-        """All N local gradients as an (N, n) array, one batched pass per size class.
-
-        Each node's row runs the same matmul shapes and elementwise steps
-        as ``local_gradient``, so the rows are bitwise equal to it.
-        """
+        """All N local gradients, one pass per size class; row i bitwise ``local_gradient``."""
         X = np.asarray(X, dtype=float)
         G = np.empty_like(X)
         for nodes, F, z in self.size_classes:
@@ -230,11 +242,7 @@ class LogisticProblem:
         return G
 
     def stacked_hessian(self, X):
-        """All N local Hessians as an (N, n, n) array, one batched pass per size class.
-
-        Row i runs ``local_hessian``'s steps in its matmul shapes, so it is
-        bitwise equal to ``local_hessian(i, X[i])``.
-        """
+        """All N local Hessians, one pass per size class; row i bitwise ``local_hessian``."""
         X = np.asarray(X, dtype=float)
         H = np.empty(X.shape + X.shape[-1:])
         eye = self.mu * np.eye(self.dim)
@@ -258,6 +266,12 @@ class LogisticProblem:
         y = np.asarray(y, dtype=float)
         H = self.local_hessian(i, y)
         return H, H @ y - self.local_gradient(i, y)
+
+    def stacked_model(self, X):
+        """All N local models (H, c) at X; row i bitwise ``model_terms``."""
+        X = np.asarray(X, dtype=float)
+        H = self.stacked_hessian(X)
+        return H, np.matmul(H, X[..., None])[..., 0] - self.stacked_gradient(X)
 
     def global_objective(self, y):
         y = np.asarray(y, dtype=float)
@@ -309,8 +323,7 @@ def quadratic_constants(p: QuadraticProblem) -> ProblemConstants:
     ev = np.linalg.eigvalsh(p.B)
     L = float(ev[:, -1].max())
     mu = float(ev[:, 0].min())
-    Bb = np.matmul(p.B, p.b[..., None])
-    f0 = float(sum(np.matmul((0.5 * p.b)[:, None, :], Bb)[:, 0, 0].tolist()))
+    f0 = float(sum(np.matmul((0.5 * p.b)[:, None, :], p.Bb[..., None])[:, 0, 0].tolist()))
     return ProblemConstants(L=L, mu=mu, kappa=mu * L / (mu + L),
                             J=math.sqrt(2.0 * L * f0), f0=f0)
 
@@ -426,18 +439,6 @@ def generate_logistic(N, T, n, seed, mu, label_noise=0.1) -> LogisticProblem:
     zeta[flip] = -zeta[flip]
     p = partition_data(D, zeta, N, seed + 1, mu)
     return scale_features(p)
-
-
-def stacked_gradient(problem, X):
-    """Per-node gradients of the separable objective, as an (N, n) array.
-
-    A logistic problem takes them in its batched pass; its per-node
-    ``local_gradient`` stays the reference that pass is bitwise equal to.
-    """
-    X = np.asarray(X, dtype=float)
-    if problem.family == "logistic":
-        return problem.stacked_gradient(X)
-    return np.stack([problem.local_gradient(i, X[i]) for i in range(problem.node_count)])
 
 
 def problem_fingerprint(problem) -> str:

@@ -174,7 +174,7 @@ def inner_count(eps_prev, eps_target, theta, rho, cbar_sum, L, mu, solver_consta
     return math.ceil(abs(num / math.log(rho)))
 
 
-def cbar(problem, consts=None):
+def cbar(problem):
     """Norm bound on the subproblem right-hand side, the same at every stage.
 
     Quadratic family: the exact ||c||, with c_i = B_ii b_i for any theta.
@@ -182,11 +182,8 @@ def cbar(problem, consts=None):
     with the expansion point, which no node knows in full.
     """
     if problem.family == "quadratic":
-        c = np.stack([problem.model_terms(i, None)[1] for i in range(problem.node_count)])
-        return float(np.linalg.norm(c))
-    if consts is None:
-        consts = problems.constants_for(problem)
-    return 3.0 * consts.L * math.sqrt(problem.node_count)
+        return float(np.linalg.norm(problem.Bb))
+    return 3.0 * problems.constants_for(problem).L * math.sqrt(problem.node_count)
 
 
 def _round_fault(Z):
@@ -205,10 +202,8 @@ def _round_fault(Z):
 
 
 def _as_blocks(x0, N, n):
-    if x0 is None:
-        return np.zeros((N, n))
-    X = np.asarray(x0, dtype=float).reshape(N, n)
-    return X.copy()
+    """The start point as a fresh (N, n) array; zeros when none is given."""
+    return np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float).reshape(N, n)
 
 
 def _emit(trace, ledger, X, s, theta, eps, problem, oracle, W_dense):
@@ -269,7 +264,7 @@ def _run_efix(problem, w, sched, budget, algo, stopping=False, oracle=None, x0=N
         boundary_sp = np.array([len(J) + 2 * n for J in problem.partition], dtype=np.int64)
 
     # the right-hand-side norms of two neighboring stages share one bound
-    cbar_sum = 2.0 * cbar(problem, consts=consts)
+    cbar_sum = 2.0 * cbar(problem)
     eps_prev = None
     s = 0
     # k(0) is sized from the gradient norm at x0, so a planned run classifies x0 first
@@ -422,7 +417,7 @@ def diging(problem, w, alpha, budget: Budget, variant=None, oracle=None,
     W_dense = w.to_dense()
 
     X = _as_blocks(x0, N, n)
-    G = problems.stacked_gradient(problem, X)
+    G = problem.stacked_gradient(X)
     U = G
     ledger = simnet.CostLedger(w.degrees())
     trace = Trace(algo="diging", problem_hash=problems.problem_fingerprint(problem),
@@ -441,7 +436,7 @@ def diging(problem, w, alpha, budget: Budget, variant=None, oracle=None,
             dU = np.matmul(problem.B, (X_new - X)[..., None])[..., 0]
         else:
             # the gradient at X is the one taken at X_new a round earlier
-            G_new = problems.stacked_gradient(problem, X_new)
+            G_new = problem.stacked_gradient(X_new)
             dU = G_new - G
             G = G_new
         U = gather(w, U, acc=w_self * U) + dU

@@ -94,9 +94,6 @@ class MixingMatrix:
             return 0.0
         return float(self.off_diag[i][k])
 
-    def degree(self, i):
-        return len(self.neighbor_lists[i])
-
     def degrees(self):
         return np.array([len(nb) for nb in self.neighbor_lists])
 
@@ -316,19 +313,29 @@ def _json_fields(text, fields):
     return doc
 
 
-def graph_from_json(text: str) -> Graph:
-    doc = _json_fields(text, ("n", "edges"))
+def _graph(doc) -> Graph:
+    """The document's graph, unvalidated; each edge must join two ids in [0, n) once."""
     N = int(doc["n"])
     nbrs = [[] for _ in range(N)]
     for i, j in doc["edges"]:
+        if not (0 <= i < N and 0 <= j < N):
+            raise ValueError(f"network edge [{i}, {j}] must join two node ids in [0, {N})")
+        if j in nbrs[i]:
+            raise ValueError(f"network edge [{i}, {j}] appears twice")
         nbrs[i].append(j)
         nbrs[j].append(i)
     return Graph(N, tuple(tuple(sorted(row)) for row in nbrs))
 
 
+def graph_from_json(text: str) -> Graph:
+    g = _graph(_json_fields(text, ("n", "edges")))
+    g.validate()
+    return g
+
+
 def mixing_from_json(text: str) -> MixingMatrix:
     doc = _json_fields(text, ("n", "edges", "weights", "diag"))
-    g = graph_from_json(text)
+    g = _graph(doc)
     lookup = {}
     for i, j, v in doc["weights"]:
         lookup[(i, j)] = float(v)
@@ -339,6 +346,9 @@ def mixing_from_json(text: str) -> MixingMatrix:
     except KeyError as exc:
         raise ValueError(f"network document has no weight for edge {exc}")
     diag = np.array(doc["diag"], dtype=float)
+    if diag.shape != (g.node_count,):
+        raise ValueError(f"network field 'diag' needs {g.node_count} entries, got {diag.size}")
+    g.validate()
     w = _build_mixing(g.node_count, g.neighbor_lists, off, diag)
     w.validate()
     return w

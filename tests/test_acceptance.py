@@ -13,9 +13,8 @@ import pytest
 
 from efix.analysis import (complexity_bound, error_e, first_hit,
                            oracle_logistic, oracle_quadratic, slope_fit)
-from efix.penalty import (assemble_quadratic, contraction_estimate,
-                          dense_iteration_matrix, dense_system, jor_step,
-                          relaxation_bound)
+from efix.penalty import (assemble, contraction_estimate, dense_system, jor_step,
+                          relaxation_bound, relaxed)
 from efix.problems import (constants_for, generate_logistic, generate_quadratic,
                            quadratic_constants)
 from efix.simnet import (CostLedger, apply_updates, collect_payloads,
@@ -41,7 +40,7 @@ def random_subproblem(seed, max_nodes=12, max_dim=5, q_frac=0.99):
     consts = constants_for(p)
     theta = float(rng.uniform(0.5, 4.0)) * consts.L
     q = q_frac * relaxation_bound(theta, consts.L, w.w_bar)
-    return assemble_quadratic(p, w, theta, q), consts
+    return relaxed(assemble(p.B, p.Bb, w, theta), q), consts
 
 
 class TestCriterion1JorCorrectness:
@@ -70,9 +69,7 @@ class TestCriterion1JorCorrectness:
         dinv = sub.dinv.reshape(-1)
         spec_rad = np.max(np.abs(np.linalg.eigvals(dinv[:, None] * A)))
         bad_q = 1.5 * (2.0 / spec_rad)
-        sub_bad = assemble_quadratic(
-            generate_quadratic(sub.node_count, sub.dim, 3 + 1000), sub.w,
-            sub.theta, bad_q)
+        sub_bad = relaxed(sub, bad_q)
         Ab, cb = dense_system(sub_bad)
         x_star = np.linalg.solve(Ab, cb)
         z = x_star + 1e-6 * np.ones_like(x_star)
@@ -286,7 +283,7 @@ class TestCriterion9DeterminismAndLocality:
         w = metropolis_weights(generate_geometric_graph(N, 92))
         consts = constants_for(p)
         q = 0.99 * relaxation_bound(2 * consts.L, consts.L, w.w_bar)
-        sub = assemble_quadratic(p, w, 2 * consts.L, q)
+        sub = relaxed(assemble(p.B, p.Bb, w, 2 * consts.L), q)
         rng = np.random.default_rng(93)
         z0 = rng.standard_normal((N, n))
 

@@ -30,6 +30,18 @@ def base_config(tmp_path, algo="efix-q", budget=None, name="cfg.json", **extra):
     return write_config(tmp_path / name, **cfg)
 
 
+def path3_network(n=3, edges=([0, 1], [1, 2]), weights=([0, 1, 0.5], [1, 2, 0.5]),
+                  diag=(0.5, 0.0, 0.5)):
+    """A network file's text: by default the path 0-1-2 with its Metropolis weights."""
+    return json.dumps({"n": n, "edges": list(edges), "weights": list(weights),
+                       "diag": list(diag)})
+
+
+def identity_problem(B=((1.0, 0.0, 0.0, 1.0),) * 3, b=((0.0, 1.0),) * 3):
+    """A problem file's text: by default N=3 nodes of B_ii = I and n=2."""
+    return json.dumps({"n": 2, "N": 3, "B": list(B), "b": list(b)})
+
+
 def read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -232,8 +244,28 @@ class TestRun:
         ("network_file", '{"n": 6, "edges": [[0, 1]]}', "needs field 'weights'"),
         ("network_file", '{"n": 6, "edges": [[0, 1]], "weights": [], "diag": []}',
          "no weight for edge (0, 1)"),
+        ("network_file", path3_network(edges=[[0, 1], [1, 2], [0, 1]]), "appears twice"),
+        ("network_file", path3_network(edges=[[0, 1], [1, 2], [1, 1]],
+                                       weights=[[0, 1, 0.5], [1, 2, 0.5], [1, 1, 0.0]]),
+         "self loop at node 1"),
+        ("network_file", path3_network(edges=[[0, 1], [1, 3]]), "[1, 3] must join"),
+        ("network_file", path3_network(edges=[[0, 1], [-1, 2]]), "[-1, 2] must join"),
+        ("network_file", path3_network(diag=[0.5, 0.0]), "'diag' needs 3 entries"),
+        ("network_file", path3_network(n=4, diag=[0.5, 0.0, 0.5, 1.0]), "not connected"),
+        ("problem_file", identity_problem(B=[[1.0, 0.0, 0.0, float("nan")]] * 3),
+         "field 'B' has a non-finite"),
+        ("problem_file", identity_problem(b=[[0.0, float("inf")]] * 3),
+         "field 'b' has a non-finite"),
+        ("problem_file", identity_problem(B=[[1.0, 0.5, 0.0, 1.0]] * 3),
+         "non-symmetric block 0"),
+        ("problem_file", identity_problem(B=[[-1.0, 0.0, 0.0, -1.0]] * 3),
+         "field 'B' is not positive definite"),
     ], ids=["problem-without-n", "problem-not-object", "network-without-n",
-            "network-without-weights", "network-edge-without-weight"])
+            "network-without-weights", "network-edge-without-weight",
+            "network-duplicate-edge", "network-self-loop", "network-id-above-n",
+            "network-negative-id", "network-short-diag", "network-unused-node",
+            "problem-nan-entry", "problem-infinite-shift", "problem-non-symmetric",
+            "problem-negative-definite"])
     def test_bad_input_file_is_one_error_line(self, tmp_path, capsys, key, text, fragment):
         path = tmp_path / "input.json"
         path.write_text(text)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from efix.penalty import (ChebyshevPlan, NonContractiveError, assemble, assemble_model,
-                          assemble_quadratic, chebyshev_plan, chebyshev_step,
+                          chebyshev_plan, chebyshev_step,
                           contraction_estimate, dense_iteration_matrix,
                           dense_system, jor_step, penalty_gradient,
                           relaxation_bound, relaxed)
@@ -17,7 +17,7 @@ def two_node_instance(q=1.0):
     """n=1, N=2, B=I, b=(0,2), theta=1, w12=1: A=[[2,-1],[-1,2]], c=(0,2)."""
     w = metropolis_weights(Graph(2, ((1,), (0,))))
     p = QuadraticProblem(np.ones((2, 1, 1)), np.array([[0.0], [2.0]]))
-    return assemble_quadratic(p, w, theta=1.0, q=q), p, w
+    return relaxed(assemble(p.B, p.Bb, w, theta=1.0), q=q), p, w
 
 
 def random_instance(seed, N=8, n=3, theta=None, q_frac=0.99):
@@ -28,7 +28,7 @@ def random_instance(seed, N=8, n=3, theta=None, q_frac=0.99):
     L = max(e[-1] for e in ev)
     theta = theta if theta is not None else 2 * L
     q = q_frac * relaxation_bound(theta, L, w.w_bar)
-    return assemble_quadratic(p, w, theta, q), p, w, L
+    return relaxed(assemble(p.B, p.Bb, w, theta), q), p, w, L
 
 
 class TestAssembly:
@@ -47,7 +47,7 @@ class TestAssembly:
         w = metropolis_weights(Graph(2, ((1,), (0,))))
         object.__setattr__(w, "diag", np.array([1.0, 1.0]))
         p = QuadraticProblem(3.0 * np.ones((2, 1, 1)), np.zeros((2, 1)))
-        sub = assemble_quadratic(p, w, theta=17.0, q=0.5)
+        sub = relaxed(assemble(p.B, p.Bb, w, theta=17.0), q=0.5)
         np.testing.assert_array_equal(sub.A_self[0], [[3.0]])
 
     def test_dense_assembly_matches_kron_form(self):
@@ -62,14 +62,6 @@ class TestAssembly:
             np.testing.assert_allclose(A, Bblk + sub.theta * Lap, atol=1e-12)
             np.testing.assert_allclose(c, np.concatenate([p.B[i] @ p.b[i] for i in range(N)]),
                                        atol=0)
-
-    def test_model_of_quadratic_reproduces_quadratic_path(self):
-        sub, p, w, L = random_instance(3)
-        x = np.random.default_rng(0).standard_normal(p.node_count * p.dim)
-        sub2 = relaxed(assemble_model(p, x, w, sub.theta), sub.q)
-        assert np.array_equal(sub.A_self, sub2.A_self)
-        assert np.array_equal(sub.p, sub2.p)
-        assert np.array_equal(sub.c, sub2.c)
 
     def test_model_empty_node_block(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -173,7 +165,7 @@ class TestJorStep:
         object.__setattr__(w, "wt", np.zeros((2, 1)))
         object.__setattr__(w, "diag", np.array([1.0, 1.0]))
         p = QuadraticProblem(np.array([[[4.0]], [[5.0]]]), np.array([[2.0], [1.0]]))
-        sub = assemble_quadratic(p, w, theta=3.0, q=1.0)
+        sub = relaxed(assemble(p.B, p.Bb, w, theta=3.0), q=1.0)
         z = jor_step(np.array([7.0, -7.0]), sub)
         np.testing.assert_allclose(z, [8.0 / 4.0, 5.0 / 5.0], atol=0)
 
@@ -254,7 +246,7 @@ class TestContraction:
         object.__setattr__(w, "wt", np.zeros((2, 1)))
         object.__setattr__(w, "diag", np.array([1.0, 1.0]))
         p = QuadraticProblem(np.array([[[4.0]], [[5.0]]]), np.zeros((2, 1)))
-        sub = assemble_quadratic(p, w, theta=1.0, q=1.0)
+        sub = relaxed(assemble(p.B, p.Bb, w, theta=1.0), q=1.0)
         assert contraction_estimate(sub) == 1e-12
 
     def test_spectral_radius_below_one_inside_interval(self):
@@ -334,7 +326,7 @@ def certificate_cases():
         X = rng.standard_normal((N, n))
         for mult in (float(rng.uniform(0.5, 4.0)), 100.0, 1e3, 1e4):
             q = 0.99 * relaxation_bound(mult * L_q, L_q, w.w_bar)
-            cases.append((assemble_quadratic(pq, w, mult * L_q, q), mu_q))
+            cases.append((relaxed(assemble(pq.B, pq.Bb, w, mult * L_q), q), mu_q))
             theta = mult * (1 + pl.mu)
             cases.append((assemble_model(pl, X, w, theta), pl.mu))
     return cases
@@ -395,7 +387,7 @@ class TestChebyshevCertificate:
     def test_relaxed_equals_assembly_at_that_q(self):
         sub, p, w, L = random_instance(4)
         other = relaxed(sub, 0.37)
-        direct = assemble_quadratic(p, w, sub.theta, 0.37)
+        direct = relaxed(assemble(p.B, p.Bb, w, sub.theta), 0.37)
         assert other.q == 0.37 and sub.q != 0.37
         np.testing.assert_array_equal(other.M_self, direct.M_self)
         np.testing.assert_array_equal(other.p, direct.p)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from efix.penalty import assemble, assemble_model
 from efix.problems import (LogisticProblem, QuadraticProblem, constants_for,
                            generate_logistic, generate_quadratic, load_libsvm,
                            logistic_constants, partition_data, problem_fingerprint,
-                           quadratic_constants, scale_features, stacked_gradient)
+                           quadratic_constants, scale_features)
+from efix.topology import generate_geometric_graph, metropolis_weights
 
 
 def central_diff_grad(f, y, h=1e-6):
@@ -232,34 +234,50 @@ class TestLogisticDerivatives:
             assert v @ (p.local_hessian(i, y) @ v) >= p.mu * (v @ v) - 1e-12
 
 
+def two_size_classes():
+    """Ten nodes holding 20 or 21 of 203 samples, n=4, and the rng to draw points from."""
+    rng = np.random.default_rng(31)
+    D = rng.standard_normal((203, 4))
+    zeta = np.where(rng.random(203) < 0.5, -1.0, 1.0)
+    return scale_features(partition_data(D, zeta, 10, seed=2, mu=1e-2)), rng
+
+
+def three_size_classes_and_an_empty_block():
+    """Five nodes holding 3, 0, 1, 5 and 3 samples, n=3, and the rng to draw points from."""
+    rng = np.random.default_rng(32)
+    D = rng.standard_normal((12, 3))
+    zeta = np.where(rng.random(12) < 0.5, -1.0, 1.0)
+    return LogisticProblem(D, zeta, [[0, 3, 5], [], [1], [2, 4, 6, 7, 8], [9, 10, 11]], 0.1), rng
+
+
+def points_at_margin(p, rng, top):
+    """A random (N, n) point scaled so that the largest |margin| over all nodes is ``top``."""
+    X = rng.standard_normal((p.node_count, p.dim))
+    return X * (top / max(np.abs(p.margins(i, X[i])).max() for i in range(p.node_count)))
+
+
 class TestStackedLogisticGradient:
     """The batched oracle equals a stack of per-node ``local_gradient`` rows, bit for bit."""
 
     @staticmethod
     def assert_parity(p, X):
-        G = stacked_gradient(p, X)
+        G = p.stacked_gradient(X)
         assert np.array_equal(G, np.stack([p.local_gradient(i, X[i])
                                            for i in range(p.node_count)]))
         return G
 
     def test_unequal_block_sizes(self):
-        rng = np.random.default_rng(31)
-        D = rng.standard_normal((203, 4))
-        zeta = np.where(rng.random(203) < 0.5, -1.0, 1.0)
-        p = scale_features(partition_data(D, zeta, 10, seed=2, mu=1e-2))
+        p, rng = two_size_classes()
         assert [F.shape[1] for _, F, _ in p.size_classes] == [20, 21]
         for scale in (0.1, 1.0, 10.0):
             self.assert_parity(p, rng.standard_normal((10, 4)) * scale)
 
     def test_three_size_classes_and_an_empty_block(self):
-        rng = np.random.default_rng(32)
-        D = rng.standard_normal((12, 3))
-        zeta = np.where(rng.random(12) < 0.5, -1.0, 1.0)
-        p = LogisticProblem(D, zeta, [[0, 3, 5], [], [1], [2, 4, 6, 7, 8], [9, 10, 11]], 0.1)
+        p, rng = three_size_classes_and_an_empty_block()
         assert [list(nodes) for nodes, _, _ in p.size_classes] == [[1], [2], [0, 4], [3]]
         for i, J in enumerate(p.partition):
             F, z = p.node_blocks[i]
-            assert np.array_equal(F, D[J]) and np.array_equal(z, zeta[J])
+            assert np.array_equal(F, p.features[J]) and np.array_equal(z, p.labels[J])
             assert F.base is not None and z.base is not None   # views into the stacks
         X = rng.standard_normal((5, 3))
         G = self.assert_parity(p, X)
@@ -269,10 +287,7 @@ class TestStackedLogisticGradient:
         p = generate_logistic(6, 60, 3, seed=33, mu=1e-2)
         rng = np.random.default_rng(34)
         for _ in range(5):
-            X = rng.standard_normal((6, 3))
-            top = max(np.abs(p.margins(i, X[i])).max() for i in range(6))
-            X *= 1e3 / top
-            G = self.assert_parity(p, X)
+            G = self.assert_parity(p, points_at_margin(p, rng, 1e3))
             assert np.isfinite(G).all()
 
     def test_built_only_on_use(self):
@@ -280,8 +295,42 @@ class TestStackedLogisticGradient:
         p = partition_data(rng.standard_normal((20, 3)), np.ones(20), 4, seed=1, mu=1e-2)
         scaled = scale_features(p)
         assert "size_classes" not in vars(p) and "size_classes" not in vars(scaled)
-        stacked_gradient(scaled, np.zeros((4, 3)))
+        scaled.stacked_gradient(np.zeros((4, 3)))
         assert "size_classes" in vars(scaled) and "size_classes" not in vars(p)
+
+
+def stacked_model_cases():
+    """(problem, X): both families at n = 1, 10 and 64, then the logistic fixtures above."""
+    rng = np.random.default_rng(36)
+    for n in (1, 10, 64):
+        yield generate_quadratic(4, n, seed=n), rng.standard_normal((4, n))
+        yield generate_logistic(4, 30, n, seed=n, mu=1e-2), rng.standard_normal((4, n))
+    p, rng = two_size_classes()
+    yield p, rng.standard_normal((10, 4))
+    p, rng = three_size_classes_and_an_empty_block()
+    yield p, rng.standard_normal((5, 3))
+    p = generate_logistic(6, 60, 3, seed=33, mu=1e-2)
+    yield p, points_at_margin(p, np.random.default_rng(34), 1e3)
+
+
+class TestStackedModel:
+    def test_stacked_model_equals_per_node_model_terms(self):
+        # stage setup reads only the stacked oracles; the per-node ones are its reference
+        for p, X in stacked_model_cases():
+            N = p.node_count
+            H, c = p.stacked_model(X)
+            H_ref, c_ref = (np.stack(t) for t in zip(*(p.model_terms(i, X[i]) for i in range(N))))
+            assert np.array_equal(H, H_ref) and np.array_equal(c, c_ref)
+            assert np.array_equal(p.stacked_gradient(X),
+                                  np.stack([p.local_gradient(i, X[i]) for i in range(N)]))
+            w = metropolis_weights(generate_geometric_graph(N, 7))
+            sub, ref = assemble_model(p, X, w, 3.0), assemble(H_ref, c_ref, w, 3.0)
+            for field in ("A_self", "d", "dinv", "c"):
+                assert np.array_equal(getattr(sub, field), getattr(ref, field))
+        # the quadratic model is the cost itself at every point, its c one read-only stack
+        p = generate_quadratic(4, 3, seed=1)
+        H, c = p.stacked_model(None)
+        assert H is p.B and c is p.Bb and not c.flags.writeable
 
 
 class TestQuadraticDerivatives:

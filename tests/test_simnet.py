@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from efix import solvers
-from efix.penalty import assemble_quadratic, dense_iteration_matrix, relaxation_bound
+from efix.penalty import assemble, dense_iteration_matrix, relaxation_bound, relaxed
 from efix.problems import generate_logistic, generate_quadratic
 from efix.simnet import (CostLedger, NodeRuntime, apply_updates, collect_payloads,
                          communication_ratio, deliver, gather_state, run_round)
@@ -17,7 +17,7 @@ def efix_nodes(N=6, n=4, seed=0, theta=None):
     consts = solvers.problems.constants_for(p)
     theta = theta or 2 * consts.L
     q = 0.99 * relaxation_bound(theta, consts.L, w.w_bar)
-    sub = assemble_quadratic(p, w, theta, q)
+    sub = relaxed(assemble(p.B, p.Bb, w, theta), q)
     rng = np.random.default_rng(seed)
     nodes = [NodeRuntime(i, w.neighbor_lists[i], {"z": rng.standard_normal(n)},
                          _efix_node_blocks(sub, w, i))

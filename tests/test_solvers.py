@@ -8,10 +8,10 @@ import pytest
 
 from efix import penalty
 from efix.analysis import max_node_error, oracle_logistic, oracle_quadratic
-from efix.penalty import (assemble_model, assemble_quadratic, chebyshev_plan,
-                          chebyshev_step, penalty_gradient, relaxation_bound, relaxed)
+from efix.penalty import (assemble, assemble_model, chebyshev_plan, chebyshev_step,
+                          penalty_gradient, relaxation_bound, relaxed)
 from efix.problems import (QuadraticProblem, constants_for, generate_logistic,
-                           generate_quadratic, quadratic_constants, stacked_gradient)
+                           generate_quadratic, quadratic_constants)
 from efix.simnet import (CostLedger, NodeRuntime, apply_updates, collect_payloads,
                          deliver, gather_state, run_round)
 from efix import solvers
@@ -118,8 +118,7 @@ class TestCbar:
 
     def test_general_estimate(self):
         p = generate_logistic(30, 60, 2, seed=0, mu=1e-4)
-        consts = constants_for(p)
-        val = cbar(p, consts=consts)
+        val = cbar(p)
         assert val == 3.0 * (1 + 1e-4) * math.sqrt(30)
         assert val == pytest.approx(16.433, abs=1e-3)
 
@@ -162,7 +161,7 @@ class TestEfixQ:
         # Chebyshev rounds over the re-relaxed sweep, restarted every stage
         x = np.zeros(p.node_count * p.dim)
         for rec in tr.outer:
-            sub = assemble_quadratic(p, w, rec.theta, rec.q)
+            sub = relaxed(assemble(p.B, p.Bb, w, rec.theta), rec.q)
             plan = chebyshev_plan(sub, consts.mu)
             sweep = relaxed(sub, plan.q)
             x_prev = x
@@ -170,7 +169,7 @@ class TestEfixQ:
                 x, x_prev = chebyshev_step(x, x_prev, sweep, plan.weight(k)), x
             X = x.reshape(p.node_count, p.dim)
             lap_norm = np.linalg.norm(laplacian_apply(w, X))
-            grad_norm = np.linalg.norm(stacked_gradient(p, X))
+            grad_norm = np.linalg.norm(p.stacked_gradient(X))
             assert lap_norm <= (grad_norm + rec.epsilon) / rec.theta + 1e-12
         # the replay is efix_q's trajectory, not a neighbouring one
         np.testing.assert_array_equal(x, tr.x_final)
@@ -184,7 +183,7 @@ class TestEfixQ:
         # the stage records carry the relaxation the rounds swept with
         assert [o.q for o in a.outer] == [o.q for o in b.outer]
         for rec in a.outer:
-            sub = assemble_quadratic(p, w, rec.theta, 0.5)
+            sub = relaxed(assemble(p.B, p.Bb, w, rec.theta), 0.5)
             assert rec.q == chebyshev_plan(sub, consts.mu).q
 
     def test_no_dense_operator_and_no_fallback_warning(self, monkeypatch):
@@ -583,7 +582,8 @@ class TestChebyshevRound:
         w = metropolis_weights(generate_geometric_graph(N, seed + 1))
         consts = constants_for(p)
         theta = 48 * consts.L
-        sub = assemble_quadratic(p, w, theta, 0.99 * relaxation_bound(theta, consts.L, w.w_bar))
+        sub = relaxed(assemble(p.B, p.Bb, w, theta),
+                      0.99 * relaxation_bound(theta, consts.L, w.w_bar))
         plan = chebyshev_plan(sub, consts.mu)
         sweep = relaxed(sub, plan.q)
         z0 = np.random.default_rng(seed + 2).standard_normal((N, n))
@@ -659,9 +659,11 @@ class TestChebyshevRound:
 def engine_replay_efix(problem, w, trace, oracle, record_rounds=True):
     """An EFIX trace replayed stage by stage on the message engine.
 
-    Each stage starts from the engine's own state and runs the trace's
-    k_run rounds through ``run_round`` with the node update
-    ``_efix_cheb_update``; rows and stage records are rebuilt from it.
+    Each stage starts from the engine's own state, assembles its blocks
+    from the per-node ``model_terms`` (no stage-setup code shared with the
+    solver) and runs the trace's k_run rounds through ``run_round`` with
+    the node update ``_efix_cheb_update``; rows and stage records are
+    rebuilt from it.
     """
     N, n = problem.node_count, problem.dim
     consts = constants_for(problem)
@@ -671,7 +673,8 @@ def engine_replay_efix(problem, w, trace, oracle, record_rounds=True):
     W_dense = w.to_dense()
     for rec in trace.outer:
         X = gather_state(nodes, "z").reshape(N, n)
-        sub = assemble_model(problem, X, w, rec.theta)
+        H, c = zip(*(problem.model_terms(i, X[i]) for i in range(N)))
+        sub = assemble(H, c, w, rec.theta)
         if problem.family != "quadratic":
             ledger.charge_local(np.array([len(J) + 2 * n for J in problem.partition]))
         plan = chebyshev_plan(sub, consts.mu)
