@@ -1,12 +1,11 @@
 """Exact penalty fixed-point methods for distributed consensus optimization."""
 
 from .topology import (Graph, MixingMatrix, generate_geometric_graph,
-                       metropolis_weights, laplacian_quadratic,
-                       network_to_json, graph_from_json, mixing_from_json)
+                       metropolis_weights, network_to_json, mixing_from_json)
 from .problems import (QuadraticProblem, LogisticProblem, ProblemConstants,
                        generate_quadratic, quadratic_constants, logistic_constants,
                        constants_for, load_libsvm, scale_features, partition_data,
-                       generate_logistic)
+                       partition_and_scale, generate_logistic)
 from .penalty import (PenaltySubproblem, assemble_model,
                       relaxation_bound, jor_step, penalty_gradient,
                       contraction_estimate, NonContractiveError,

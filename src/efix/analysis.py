@@ -86,10 +86,10 @@ def oracle_logistic(problem, tol=1e-10, max_iter=100) -> OracleSolution:
     raise RuntimeError(f"Newton oracle did not reach tol={tol} within {max_iter} iterations")
 
 
-def solve_reference(problem, **kwargs) -> OracleSolution:
+def solve_reference(problem) -> OracleSolution:
     if problem.family == "quadratic":
         return oracle_quadratic(problem)
-    return oracle_logistic(problem, **kwargs)
+    return oracle_logistic(problem)
 
 
 def _node_distances(x, oracle: OracleSolution):

@@ -102,9 +102,8 @@ def resolve_problem(cfg):
             mu = float(spec.get("mu", 1e-4))
             if "path" in spec:
                 features, labels = problems.load_libsvm(spec["path"])
-                p = problems.partition_data(features, labels, int(spec["N"]),
-                                            int(spec["seed"]), mu)
-                return problems.scale_features(p)
+                return problems.partition_and_scale(features, labels, int(spec["N"]),
+                                                    int(spec["seed"]), mu)
             return problems.generate_logistic(int(spec["N"]), int(spec["T"]),
                                               int(spec["n"]), int(spec["seed"]), mu)
     except KeyError as exc:
@@ -164,9 +163,8 @@ def cmd_gen(cfg):
     if not out:
         raise ValueError("gen needs an output prefix")
     consts = problems.constants_for(problem)
-    g = topology.Graph(w.node_count, w.neighbor_lists)
     Path(str(out) + ".problem.json").write_text(problem.to_json())
-    Path(str(out) + ".network.json").write_text(topology.network_to_json(g, w))
+    Path(str(out) + ".network.json").write_text(topology.network_to_json(w))
     print(json.dumps({"L": consts.L, "mu": consts.mu, "kappa": consts.kappa,
                       "J": consts.J, "lambda2": w.lambda2, "w_bar": w.w_bar},
                      sort_keys=True))

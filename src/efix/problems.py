@@ -391,15 +391,31 @@ def load_libsvm(path):
     return features, np.array(labels)
 
 
-def partition_data(features, labels, N, seed, mu) -> LogisticProblem:
-    """Random near-equal split of the samples across N nodes (sizes differ by <= 1)."""
-    T = len(labels)
+def _partition(T, N, seed):
+    """Random near-equal split of T sample ids across N nodes (sizes differ by <= 1)."""
     if T < N:
         raise ValueError(f"cannot split {T} samples across {N} nodes")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(T)
-    parts = [np.sort(chunk) for chunk in np.array_split(perm, N)]
-    return LogisticProblem(features, labels, parts, mu)
+    perm = np.random.default_rng(seed).permutation(T)
+    return [np.sort(chunk) for chunk in np.array_split(perm, N)]
+
+
+def partition_data(features, labels, N, seed, mu) -> LogisticProblem:
+    """Random near-equal split of the samples across N nodes (sizes differ by <= 1)."""
+    return LogisticProblem(features, labels, _partition(len(labels), N, seed), mu)
+
+
+def _feature_scale(features, partition):
+    """sqrt of max_i lambda_max(sum_{j in J_i} d_j d_j^T), the worst per-node Gram norm."""
+    worst = 0.0
+    for _, rows in _size_class_rows(partition):
+        if rows.shape[1]:
+            F = features[rows]
+            gram = np.matmul(F.transpose(0, 2, 1), F)
+            worst = max(worst, float(np.linalg.eigvalsh(gram)[:, -1].max()))
+    c = math.sqrt(worst)
+    if c == 0.0:
+        raise ValueError("all-zero dataset cannot be scaled")
+    return c
 
 
 def scale_features(p: LogisticProblem) -> LogisticProblem:
@@ -409,24 +425,23 @@ def scale_features(p: LogisticProblem) -> LogisticProblem:
     bounds every local Hessian norm by 1 + mu.  A problem already at the
     fixed point is returned unchanged (division by exactly 1.0).
     """
-    worst = 0.0
-    for _, rows in _size_class_rows(p.partition):
-        if rows.shape[1]:
-            F = p.features[rows]
-            gram = np.matmul(F.transpose(0, 2, 1), F)
-            worst = max(worst, float(np.linalg.eigvalsh(gram)[:, -1].max()))
-    c = math.sqrt(worst)
-    if c == 0.0:
-        raise ValueError("all-zero dataset cannot be scaled")
-    return LogisticProblem(p.features / c, p.labels, p.partition, p.mu)
+    return LogisticProblem(p.features / _feature_scale(p.features, p.partition),
+                           p.labels, p.partition, p.mu)
 
 
-def generate_logistic(N, T, n, seed, mu, label_noise=0.1) -> LogisticProblem:
+def partition_and_scale(features, labels, N, seed, mu) -> LogisticProblem:
+    """``scale_features(partition_data(...))``, bit for bit, building one problem, not two."""
+    features = np.asarray(features, dtype=float)
+    parts = _partition(len(labels), N, seed)
+    return LogisticProblem(features / _feature_scale(features, parts), labels, parts, mu)
+
+
+def generate_logistic(N, T, n, seed, mu) -> LogisticProblem:
     """Synthetic binary classification instance, partitioned and scaled.
 
     Gaussian features, labels from a random linear rule with additive
-    noise plus a ``label_noise`` fraction of flips, so the data is not
-    separable and the regularized optimum stays at moderate norm.
+    noise plus a tenth of them flipped, so the data is not separable and
+    the regularized optimum stays at moderate norm.
     """
     if n < 1:
         raise ValueError(f"problem n must be at least 1, got {n}")
@@ -435,10 +450,9 @@ def generate_logistic(N, T, n, seed, mu, label_noise=0.1) -> LogisticProblem:
     w_true = rng.standard_normal(n)
     z = D @ w_true + 0.5 * rng.standard_normal(T)
     zeta = np.where(z >= 0, 1.0, -1.0)
-    flip = rng.random(T) < label_noise
+    flip = rng.random(T) < 0.1
     zeta[flip] = -zeta[flip]
-    p = partition_data(D, zeta, N, seed + 1, mu)
-    return scale_features(p)
+    return partition_and_scale(D, zeta, N, seed + 1, mu)
 
 
 def problem_fingerprint(problem) -> str:

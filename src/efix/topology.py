@@ -26,15 +26,9 @@ class Graph:
 
     node_count: int
     neighbor_lists: tuple
-    coordinates: np.ndarray | None = None
 
     def degree(self, i):
         return len(self.neighbor_lists[i])
-
-    def edges(self):
-        """Edge list as (i, j) pairs with i < j."""
-        return [(i, j) for i in range(self.node_count)
-                for j in self.neighbor_lists[i] if i < j]
 
     def is_connected(self):
         """Breadth-first reachability from node 0."""
@@ -135,11 +129,11 @@ class MixingMatrix:
     def to_dense(self):
         return _dense(self.idx, self.wt, self.diag)
 
-    def validate(self, tol=1e-12):
+    def validate(self):
         W = self.to_dense()
-        if not np.allclose(W, W.T, atol=tol, rtol=0):
+        if not np.allclose(W, W.T, atol=1e-12, rtol=0):
             raise ValueError("mixing matrix is not symmetric")
-        if np.max(np.abs(W.sum(axis=1) - 1.0)) > tol:
+        if np.max(np.abs(W.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("rows do not sum to 1")
         if np.any(W < 0):
             raise ValueError("negative weight")
@@ -190,7 +184,7 @@ def generate_geometric_graph(N, seed, max_attempts=1000):
     for attempt in range(max_attempts):
         rng = np.random.default_rng(seed + attempt)
         points = rng.random((N, 2))
-        g = Graph(N, geometric_edges(points, radius), coordinates=points)
+        g = Graph(N, geometric_edges(points, radius))
         if g.is_connected():
             return g
     raise GraphGenerationError(
@@ -269,86 +263,74 @@ def gather(w: MixingMatrix, Z, weights=None, acc=None):
     return np.add.reduce(terms, axis=0)
 
 
-def laplacian_quadratic(w: MixingMatrix, x) -> float:
-    """Disagreement x^T (I - W (x) I) x over the neighbor table.
-
-    Computed as (1/2) sum_i sum_{j in O_i} w_ij ||x_i - x_j||^2, which is
-    exactly zero on consensus vectors and nonnegative term by term.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size % w.node_count != 0:
-        raise ValueError(f"vector of size {x.size} does not split into {w.node_count} blocks")
-    X = x.reshape(w.node_count, -1)
-    D = X[:, None, :] - X[w.idx]
-    return 0.5 * float(np.sum(w.wt * (D * D).sum(axis=2)))
-
-
-def laplacian_apply(w: MixingMatrix, X):
-    """(I - W (x) I) x on a (N, n) block array; used for residual metrics."""
-    X = np.asarray(X, dtype=float)
-    return gather(w, X, weights=-w.slot_weights(X.shape[1]), acc=(1.0 - w.diag)[:, None] * X)
-
-
-def network_to_json(g: Graph, w: MixingMatrix | None = None) -> str:
-    """Serialize a graph (and optionally its mixing matrix) to JSON.
+def network_to_json(w: MixingMatrix) -> str:
+    """Serialize a mixing matrix and its graph to JSON.
 
     Schema: {"n", "edges": [[i,j],...], "weights": [[i,j,w],...],
     "diag": [...]}; indices are 0-based and edges carry i < j.
     """
-    doc = {"n": g.node_count, "edges": [[i, j] for i, j in g.edges()]}
-    if w is not None:
-        doc["weights"] = [[i, j, w.weight(i, j)] for i, j in g.edges()]
-        doc["diag"] = [float(v) for v in w.diag]
-    return json.dumps(doc)
+    edges = [[i, j] for i, nbrs in enumerate(w.neighbor_lists) for j in nbrs if i < j]
+    return json.dumps({"n": w.node_count, "edges": edges,
+                       "weights": [[i, j, w.weight(i, j)] for i, j in edges],
+                       "diag": [float(v) for v in w.diag]})
 
 
-def _json_fields(text, fields):
-    """The network document in ``text``; a missing field is an input error naming it."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("network document must be a JSON object")
-    for key in fields:
-        if key not in doc:
-            raise ValueError(f"network document needs field {key!r}")
-    return doc
-
-
-def _graph(doc) -> Graph:
-    """The document's graph, unvalidated; each edge must join two ids in [0, n) once."""
-    N = int(doc["n"])
-    nbrs = [[] for _ in range(N)]
-    for i, j in doc["edges"]:
-        if not (0 <= i < N and 0 <= j < N):
-            raise ValueError(f"network edge [{i}, {j}] must join two node ids in [0, {N})")
-        if j in nbrs[i]:
-            raise ValueError(f"network edge [{i}, {j}] appears twice")
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    return Graph(N, tuple(tuple(sorted(row)) for row in nbrs))
-
-
-def graph_from_json(text: str) -> Graph:
-    g = _graph(_json_fields(text, ("n", "edges")))
-    g.validate()
-    return g
+def _entries(doc, field, N, width):
+    """The entries of ``doc[field]``: lists of ``width`` values led by two node ids in [0, N)."""
+    for entry in doc[field]:
+        # type(...) is int: JSON's true and false are not node ids
+        if not (isinstance(entry, list) and len(entry) == width
+                and type(entry[0]) is int and type(entry[1]) is int):
+            raise ValueError(f"network field {field!r}: {json.dumps(entry)} must be {width} "
+                             f"values, the first two integer node ids")
+        if not (0 <= entry[0] < N and 0 <= entry[1] < N):
+            raise ValueError(f"network field {field!r}: {json.dumps(entry)} must join two "
+                             f"node ids in [0, {N})")
+        yield entry
 
 
 def mixing_from_json(text: str) -> MixingMatrix:
-    doc = _json_fields(text, ("n", "edges", "weights", "diag"))
-    g = _graph(doc)
-    lookup = {}
-    for i, j, v in doc["weights"]:
-        lookup[(i, j)] = float(v)
-        lookup[(j, i)] = float(v)
+    """The mixing matrix of a ``network_to_json`` document; a bad field is an error naming it."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("network document must be a JSON object")
+    for key in ("n", "edges", "weights", "diag"):
+        if key not in doc:
+            raise ValueError(f"network document needs field {key!r}")
+        if key != "n" and not isinstance(doc[key], list):
+            raise ValueError(f"network field {key!r} must be a list")
+    N = doc["n"]
+    if not (type(N) is int and N >= 1):
+        raise ValueError(f"network field 'n' must be a positive integer, got {N!r}")
+    nbrs = [[] for _ in range(N)]
+    for i, j in _entries(doc, "edges", N, 2):
+        if j in nbrs[i]:
+            raise ValueError(f"network field 'edges': {[i, j]} appears twice")
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    g = Graph(N, tuple(tuple(sorted(row)) for row in nbrs))
+    weights = {}
+    for i, j, v in _entries(doc, "weights", N, 3):
+        edge = (min(i, j), max(i, j))
+        if j not in nbrs[i]:
+            raise ValueError(f"network field 'weights': {json.dumps([i, j, v])} names no edge")
+        if edge in weights:
+            raise ValueError(f"network field 'weights' names edge {edge} twice")
+        if not (type(v) in (int, float) and math.isfinite(v)):
+            raise ValueError(f"network field 'weights': {json.dumps([i, j, v])} "
+                             f"needs a finite weight")
+        weights[edge] = float(v)
     try:
-        off = [np.array([lookup[(i, j)] for j in g.neighbor_lists[i]])
-               for i in range(g.node_count)]
+        off = [np.array([weights[min(i, j), max(i, j)] for j in g.neighbor_lists[i]])
+               for i in range(N)]
     except KeyError as exc:
-        raise ValueError(f"network document has no weight for edge {exc}")
+        raise ValueError(f"network field 'weights' has no weight for edge {exc}")
+    if len(doc["diag"]) != N:
+        raise ValueError(f"network field 'diag' needs {N} entries, got {len(doc['diag'])}")
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in doc["diag"]):
+        raise ValueError("network field 'diag' needs finite numbers")
     diag = np.array(doc["diag"], dtype=float)
-    if diag.shape != (g.node_count,):
-        raise ValueError(f"network field 'diag' needs {g.node_count} entries, got {diag.size}")
     g.validate()
-    w = _build_mixing(g.node_count, g.neighbor_lists, off, diag)
+    w = _build_mixing(N, g.neighbor_lists, off, diag)
     w.validate()
     return w

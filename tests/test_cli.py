@@ -252,6 +252,20 @@ class TestRun:
         ("network_file", path3_network(edges=[[0, 1], [-1, 2]]), "[-1, 2] must join"),
         ("network_file", path3_network(diag=[0.5, 0.0]), "'diag' needs 3 entries"),
         ("network_file", path3_network(n=4, diag=[0.5, 0.0, 0.5, 1.0]), "not connected"),
+        ("network_file", path3_network(n=3.5), "field 'n' must be a positive integer, got 3.5"),
+        ("network_file", path3_network(edges=[[0, 1.0], [1, 2]]), "field 'edges': [0, 1.0]"),
+        ("network_file", path3_network(edges=[[0, True], [1, 2]]), "field 'edges': [0, true]"),
+        ("network_file", path3_network(weights=[[0, 1, 0.5], [1, 2, 0.5], [0, 2, 0.3]]),
+         "field 'weights': [0, 2, 0.3] names no edge"),
+        ("network_file", path3_network(weights=[[0, 1, 0.5], [1, 2, 0.5], [1, 0, 0.5]]),
+         "field 'weights' names edge (0, 1) twice"),
+        ("network_file", path3_network(weights=[[0, 1, float("nan")], [1, 2, 0.5]]),
+         "field 'weights': [0, 1, NaN] needs a finite weight"),
+        ("network_file", path3_network(diag=[0.5, float("inf"), 0.5]),
+         "field 'diag' needs finite numbers"),
+        ("network_file", path3_network(diag=[0.5, "0", 0.5]), "field 'diag' needs finite numbers"),
+        ("network_file", '{"n": 3, "edges": 5, "weights": [], "diag": [0.5, 0.0, 0.5]}',
+         "field 'edges' must be a list"),
         ("problem_file", identity_problem(B=[[1.0, 0.0, 0.0, float("nan")]] * 3),
          "field 'B' has a non-finite"),
         ("problem_file", identity_problem(b=[[0.0, float("inf")]] * 3),
@@ -264,6 +278,9 @@ class TestRun:
             "network-without-weights", "network-edge-without-weight",
             "network-duplicate-edge", "network-self-loop", "network-id-above-n",
             "network-negative-id", "network-short-diag", "network-unused-node",
+            "network-fractional-n", "network-float-id", "network-bool-id",
+            "network-weight-off-edge", "network-weight-twice", "network-nan-weight",
+            "network-infinite-diag", "network-text-diag", "network-edges-not-list",
             "problem-nan-entry", "problem-infinite-shift", "problem-non-symmetric",
             "problem-negative-definite"])
     def test_bad_input_file_is_one_error_line(self, tmp_path, capsys, key, text, fragment):

@@ -6,8 +6,8 @@ import pytest
 from efix.penalty import assemble, assemble_model
 from efix.problems import (LogisticProblem, QuadraticProblem, constants_for,
                            generate_logistic, generate_quadratic, load_libsvm,
-                           logistic_constants, partition_data, problem_fingerprint,
-                           quadratic_constants, scale_features)
+                           logistic_constants, partition_and_scale, partition_data,
+                           problem_fingerprint, quadratic_constants, scale_features)
 from efix.topology import generate_geometric_graph, metropolis_weights
 
 
@@ -163,6 +163,24 @@ class TestScaleFeatures:
                             [np.array([0]), np.array([1])], 0.1)
         with pytest.raises(ValueError):
             scale_features(p)
+
+    def test_partition_and_scale_builds_one_problem(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        D = rng.standard_normal((203, 4)) * 3.0
+        zeta = np.where(rng.random(203) < 0.5, -1.0, 1.0)
+        ref = scale_features(partition_data(D, zeta, 10, seed=2, mu=1e-2))
+        built, init = [], LogisticProblem.__init__
+
+        def counted_init(self, *args):
+            built.append(self)
+            init(self, *args)
+        monkeypatch.setattr(LogisticProblem, "__init__", counted_init)
+        p = partition_and_scale(D, zeta, 10, seed=2, mu=1e-2)
+        generate_logistic(10, 203, 4, seed=3, mu=1e-2)
+        assert len(built) == 2
+        assert np.array_equal(p.features.view(np.int64), ref.features.view(np.int64))
+        assert np.array_equal(p.labels, ref.labels) and p.mu == ref.mu
+        assert all(np.array_equal(J, K) for J, K in zip(p.partition, ref.partition))
 
 
 class TestLogisticDerivatives:
