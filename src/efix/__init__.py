@@ -1,11 +1,10 @@
 """Exact penalty fixed-point methods for distributed consensus optimization."""
 
-from .topology import (Graph, MixingMatrix, generate_geometric_graph,
+from .topology import (MixingMatrix, generate_geometric_graph,
                        metropolis_weights, network_to_json, mixing_from_json)
 from .problems import (QuadraticProblem, LogisticProblem, ProblemConstants,
                        generate_quadratic, quadratic_constants, logistic_constants,
-                       constants_for, load_libsvm, scale_features, partition_data,
-                       partition_and_scale, generate_logistic)
+                       constants_for, load_libsvm, partition_and_scale, generate_logistic)
 from .penalty import (PenaltySubproblem, assemble_model,
                       relaxation_bound, jor_step, penalty_gradient,
                       contraction_estimate, NonContractiveError,

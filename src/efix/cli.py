@@ -25,8 +25,18 @@ TRACE_COLUMNS = [f.name for f in dataclasses.fields(analysis.TraceRecord)]
 
 ALGORITHMS = ("efix-q", "efix-g", "efix-q-stopping", "diging")
 
-_SCHEDULE_KEYS = ("theta0", "theta0_multiplier", "theta_rule", "eps_rule", "eps0")
-_SECTIONS = ("problem", "network", "algorithm", "schedule", "budget")
+# every field a config may give, by section ("config" is the top level);
+# any other is an input error
+_FIELDS = {
+    "config": ("problem", "network", "algorithm", "schedule", "budget", "out"),
+    "problem": ("family", "N", "n", "T", "seed", "mu", "spectrum", "path", "problem_file"),
+    "network": ("N", "seed", "network_file"),
+    "algorithm": ("name", "m"),
+    "schedule": ("theta0", "theta0_multiplier", "theta_rule", "eps_rule", "eps0"),
+    "budget": ("rounds", "outer", "scalar_products"),
+}
+# the fields that must be integers, in whichever section gives them
+_INTEGER_FIELDS = ("N", "n", "T", "seed", "m")
 
 
 def _fmt(v):
@@ -50,16 +60,25 @@ def _number(spec, key, default=None):
 
 
 def load_config(path, overrides):
-    """Read the JSON config and apply flag overrides (flags win)."""
+    """Read the JSON config, check its fields and apply flag overrides (flags win)."""
     try:
         cfg = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must be a JSON object")
-    for section in _SECTIONS:
-        if not isinstance(cfg.get(section, {}), dict):
+    for section, fields in _FIELDS.items():
+        spec = cfg if section == "config" else cfg.get(section, {})
+        if not isinstance(spec, dict):
             raise ValueError(f"config section {section!r} must be a JSON object")
+        unknown = [key for key in spec if key not in fields]
+        if unknown:
+            raise ValueError(f"unknown {section} field {', '.join(map(repr, unknown))}; "
+                             f"choose from {', '.join(fields)}")
+        for key in spec:
+            # type(...) is int: JSON's true and false are not integers here
+            if key in _INTEGER_FIELDS and type(spec[key]) is not int:
+                raise ValueError(f"{section} {key} must be an integer, got {spec[key]!r}")
     if overrides.get("out") is not None:
         cfg["out"] = overrides["out"]
     for flag, section, key in (("algo", "algorithm", "name"), ("m", "algorithm", "m"),
@@ -78,10 +97,10 @@ def resolve_network(cfg):
     if "network_file" in net:
         return topology.mixing_from_json(Path(net["network_file"]).read_text())
     try:
-        g = topology.generate_geometric_graph(int(net["N"]), int(net["seed"]))
+        nbrs = topology.generate_geometric_graph(net["N"], net["seed"])
     except KeyError as exc:
         raise ValueError(f"network spec needs field {exc}")
-    return topology.metropolis_weights(g)
+    return topology.metropolis_weights(nbrs)
 
 
 def resolve_problem(cfg):
@@ -96,16 +115,13 @@ def resolve_problem(cfg):
                 kwargs["spectrum"] = tuple(spec["spectrum"])
                 if len(kwargs["spectrum"]) != 2 or not all(map(_is_number, kwargs["spectrum"])):
                     raise ValueError(f"problem spectrum must be [low, high], got {spec['spectrum']}")
-            return problems.generate_quadratic(int(spec["N"]), int(spec["n"]),
-                                               int(spec["seed"]), **kwargs)
+            return problems.generate_quadratic(spec["N"], spec["n"], spec["seed"], **kwargs)
         if family == "logistic":
             mu = float(spec.get("mu", 1e-4))
             if "path" in spec:
                 features, labels = problems.load_libsvm(spec["path"])
-                return problems.partition_and_scale(features, labels, int(spec["N"]),
-                                                    int(spec["seed"]), mu)
-            return problems.generate_logistic(int(spec["N"]), int(spec["T"]),
-                                              int(spec["n"]), int(spec["seed"]), mu)
+                return problems.partition_and_scale(features, labels, spec["N"], spec["seed"], mu)
+            return problems.generate_logistic(spec["N"], spec["T"], spec["n"], spec["seed"], mu)
     except KeyError as exc:
         raise ValueError(f"problem spec needs field {exc}")
     raise ValueError(f"unknown problem family {family!r}")
@@ -113,10 +129,8 @@ def resolve_problem(cfg):
 
 def resolve_schedule(cfg, consts):
     spec = cfg.get("schedule", {})
-    unknown = [key for key in spec if key not in _SCHEDULE_KEYS]
-    if unknown:
-        raise ValueError(f"unknown schedule field {', '.join(map(repr, unknown))}; "
-                         f"choose from {', '.join(_SCHEDULE_KEYS)}")
+    if "theta0" in spec and "theta0_multiplier" in spec:
+        raise ValueError("schedule gives both theta0 and theta0_multiplier; give one")
     if "theta0" in spec:
         theta0 = float(_number(spec, "theta0"))
     else:
@@ -188,10 +202,10 @@ def cmd_run(cfg):
         raise ValueError(f"output directory {Path(out).parent} does not exist")
 
     if algo == "diging":
-        m = _number(cfg.get("algorithm", {}), "m", 10)
+        m = cfg.get("algorithm", {}).get("m", 10)
         if m < 1:
             raise ValueError(f"algorithm m must be at least 1, got {m}")
-        trace = solvers.diging(problem, w, alpha=1.0 / (int(m) * consts.L), budget=budget)
+        trace = solvers.diging(problem, w, alpha=1.0 / (m * consts.L), budget=budget)
     else:
         sched = resolve_schedule(cfg, consts)
         fn = {"efix-q": solvers.efix_q, "efix-g": solvers.efix_g,

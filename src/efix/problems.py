@@ -121,7 +121,9 @@ class QuadraticProblem:
         for key in ("n", "N", "B", "b"):
             if key not in doc:
                 raise ValueError(f"problem document needs field {key!r}")
-        n, N = int(doc["n"]), int(doc["N"])
+        n, N = doc["n"], doc["N"]
+        if not (type(n) is int and type(N) is int):
+            raise ValueError(f"problem fields 'n' and 'N' must be integers, got {n!r} and {N!r}")
         B = np.array([np.array(blk, dtype=float).reshape(n, n) for blk in doc["B"]])
         b = np.array(doc["b"], dtype=float)
         if B.shape != (N, n, n):
@@ -152,8 +154,8 @@ class LogisticProblem:
         self.labels = np.asarray(labels, dtype=float)
         self.partition = tuple(np.asarray(J, dtype=int) for J in partition)
         self.mu = float(mu)
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
         if set(np.unique(self.labels)) - {-1.0, 1.0}:
             raise ValueError("labels must be +-1")
         seen = np.concatenate(self.partition) if self.partition else np.array([], dtype=int)
@@ -179,7 +181,7 @@ class LogisticProblem:
         The nodes with |J_i| = m share one contiguous (k, m, n) features
         stack and one (k, m) labels stack, so a batched oracle runs one
         matmul per class; ``array_split`` partitions have at most two.
-        Built on first use: an unscaled problem never needs it.
+        Built on first use.
         """
         return tuple((nodes, self.features[rows], self.labels[rows])
                      for nodes, rows in _size_class_rows(self.partition))
@@ -288,18 +290,17 @@ def _size_class_rows(partition):
         yield nodes, np.array([partition[i] for i in nodes], dtype=int).reshape(len(nodes), m)
 
 
-def generate_quadratic(N, n, seed, spectrum=(1.0, 101.0), shift_range=(1.0, 31.0)):
+def generate_quadratic(N, n, seed, spectrum=(1.0, 101.0)):
     """Random quadratic instance.
 
     Each B_ii = P S P^T with P the orthonormal eigenvectors of a
     symmetrized standard normal matrix and S uniform on ``spectrum``;
-    each component of b_i is uniform on ``shift_range``.  Deterministic
-    per seed.
+    each component of b_i is uniform on [1, 31).  Deterministic per seed.
     """
     if n < 1:
         raise ValueError(f"problem n must be at least 1, got {n}")
-    if not 0 < spectrum[0] <= spectrum[1]:
-        raise ValueError(f"problem spectrum must be [low, high] with 0 < low <= high, "
+    if not (0 < spectrum[0] <= spectrum[1] and math.isfinite(spectrum[1])):
+        raise ValueError(f"problem spectrum must be [low, high] with 0 < low <= high < inf, "
                          f"got {list(spectrum)}")
     rng = np.random.default_rng(seed)
     C = np.empty((N, n, n))
@@ -309,7 +310,7 @@ def generate_quadratic(N, n, seed, spectrum=(1.0, 101.0), shift_range=(1.0, 31.0
     for i in range(N):
         C[i] = rng.standard_normal((n, n))
         S[i] = rng.uniform(spectrum[0], spectrum[1], n)
-        b[i] = rng.uniform(shift_range[0], shift_range[1], n)
+        b[i] = rng.uniform(1.0, 31.0, n)
     _, P = np.linalg.eigh((C + C.transpose(0, 2, 1)) / 2.0)
     M = (P * S[:, None, :]) @ P.transpose(0, 2, 1)
     return QuadraticProblem((M + M.transpose(0, 2, 1)) / 2.0, b)
@@ -399,11 +400,6 @@ def _partition(T, N, seed):
     return [np.sort(chunk) for chunk in np.array_split(perm, N)]
 
 
-def partition_data(features, labels, N, seed, mu) -> LogisticProblem:
-    """Random near-equal split of the samples across N nodes (sizes differ by <= 1)."""
-    return LogisticProblem(features, labels, _partition(len(labels), N, seed), mu)
-
-
 def _feature_scale(features, partition):
     """sqrt of max_i lambda_max(sum_{j in J_i} d_j d_j^T), the worst per-node Gram norm."""
     worst = 0.0
@@ -418,19 +414,14 @@ def _feature_scale(features, partition):
     return c
 
 
-def scale_features(p: LogisticProblem) -> LogisticProblem:
-    """Divide all features by the worst per-node Gram norm root.
-
-    After scaling, max_i lambda_max(sum_{j in J_i} d_j d_j^T) = 1, which
-    bounds every local Hessian norm by 1 + mu.  A problem already at the
-    fixed point is returned unchanged (division by exactly 1.0).
-    """
-    return LogisticProblem(p.features / _feature_scale(p.features, p.partition),
-                           p.labels, p.partition, p.mu)
-
-
 def partition_and_scale(features, labels, N, seed, mu) -> LogisticProblem:
-    """``scale_features(partition_data(...))``, bit for bit, building one problem, not two."""
+    """The samples split at random across N nodes, features divided by the worst Gram norm root.
+
+    Block sizes differ by at most one.  After scaling,
+    max_i lambda_max(sum_{j in J_i} d_j d_j^T) = 1, which bounds every
+    local Hessian norm by 1 + mu; features already at that fixed point
+    are divided by exactly 1.0.
+    """
     features = np.asarray(features, dtype=float)
     parts = _partition(len(labels), N, seed)
     return LogisticProblem(features / _feature_scale(features, parts), labels, parts, mu)

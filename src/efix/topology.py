@@ -1,6 +1,7 @@
 """Random geometric networks and Metropolis mixing matrices.
 
-Networks are undirected, connected graphs over nodes 0..N-1.  A mixing
+Networks are undirected, connected graphs over nodes 0..N-1, each held
+as its tuple of sorted per-node neighbor lists (no self loops).  A mixing
 matrix is the symmetric doubly stochastic weight matrix built from a graph
 by the Metropolis rule; its entries are stored sparsely (per-node neighbor
 weights plus the diagonal) because every algorithm in this package touches
@@ -18,41 +19,6 @@ import numpy as np
 
 class GraphGenerationError(RuntimeError):
     """No connected geometric graph found within the attempt bound."""
-
-
-@dataclass(frozen=True)
-class Graph:
-    """Undirected graph with sorted per-node neighbor lists (no self loops)."""
-
-    node_count: int
-    neighbor_lists: tuple
-
-    def degree(self, i):
-        return len(self.neighbor_lists[i])
-
-    def is_connected(self):
-        """Breadth-first reachability from node 0."""
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in self.neighbor_lists[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        return len(seen) == self.node_count
-
-    def validate(self):
-        for i, nbrs in enumerate(self.neighbor_lists):
-            if i in nbrs:
-                raise ValueError(f"self loop at node {i}")
-            for j in nbrs:
-                if i not in self.neighbor_lists[j]:
-                    raise ValueError(f"asymmetric edge ({i},{j})")
-        if not self.is_connected():
-            raise ValueError("graph is not connected")
 
 
 @dataclass(frozen=True)
@@ -159,8 +125,23 @@ def _rows(flat, counts):
     return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
+def _connected(nbrs):
+    """Breadth-first reachability from node 0."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in nbrs[i]:
+                if j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return len(seen) == len(nbrs)
+
+
 def generate_geometric_graph(N, seed, max_attempts=1000):
-    """Connected random geometric graph on [0,1]^2.
+    """Connected random geometric graph on [0,1]^2, as its neighbor lists.
 
     Points are sampled uniformly; nodes are linked when their Euclidean
     distance is strictly below sqrt(log(N)/N).  Disconnected draws are
@@ -184,9 +165,9 @@ def generate_geometric_graph(N, seed, max_attempts=1000):
     for attempt in range(max_attempts):
         rng = np.random.default_rng(seed + attempt)
         points = rng.random((N, 2))
-        g = Graph(N, geometric_edges(points, radius))
-        if g.is_connected():
-            return g
+        nbrs = geometric_edges(points, radius)
+        if _connected(nbrs):
+            return nbrs
     raise GraphGenerationError(
         f"no connected geometric graph for N={N} within {max_attempts} attempts from seed {seed}")
 
@@ -214,24 +195,27 @@ def _dense(idx, wt, diag):
     return W
 
 
-def _build_mixing(node_count, neighbor_lists, off, diag):
+def _build_mixing(neighbor_lists, off, diag):
     idx, wt = _neighbor_table(neighbor_lists, off)
-    return MixingMatrix(node_count, neighbor_lists, tuple(off), diag,
+    return MixingMatrix(len(neighbor_lists), neighbor_lists, tuple(off), diag,
                         w_bar=float(diag.max()),
                         lambda2=_second_modulus(_dense(idx, wt, diag)), idx=idx, wt=wt)
 
 
-def metropolis_weights(g: Graph) -> MixingMatrix:
-    """Metropolis rule: w_ij = 1/max(deg i, deg j), diagonal complements the row."""
-    if not g.is_connected():
+def metropolis_weights(nbrs) -> MixingMatrix:
+    """Metropolis rule: w_ij = 1/max(deg i, deg j), diagonal complements the row.
+
+    ``nbrs`` is the graph: its tuple of sorted per-node neighbor lists.
+    """
+    if not _connected(nbrs):
         raise ValueError("graph must be connected")
-    deg = np.array([g.degree(i) for i in range(g.node_count)])
-    cols = np.concatenate(g.neighbor_lists).astype(int)
-    rows = np.repeat(np.arange(g.node_count), deg)
+    deg = np.array([len(row) for row in nbrs])
+    cols = np.concatenate(nbrs).astype(int)
+    rows = np.repeat(np.arange(len(nbrs)), deg)
     off = _rows(1.0 / np.maximum(deg[rows], deg[cols]), deg)
     # one sum per row: padding zeros could regroup numpy's pairwise sum
     diag = np.array([1.0 - ws.sum() for ws in off])
-    return _build_mixing(g.node_count, g.neighbor_lists, off, diag)
+    return _build_mixing(nbrs, off, diag)
 
 
 def _second_modulus(dense_w):
@@ -300,15 +284,16 @@ def mixing_from_json(text: str) -> MixingMatrix:
         if key != "n" and not isinstance(doc[key], list):
             raise ValueError(f"network field {key!r} must be a list")
     N = doc["n"]
-    if not (type(N) is int and N >= 1):
-        raise ValueError(f"network field 'n' must be a positive integer, got {N!r}")
+    if not (type(N) is int and N >= 2):
+        raise ValueError(f"network field 'n' must be an integer of at least 2, got {N!r}")
     nbrs = [[] for _ in range(N)]
     for i, j in _entries(doc, "edges", N, 2):
+        if i == j:
+            raise ValueError(f"network field 'edges': self loop at node {i}")
         if j in nbrs[i]:
             raise ValueError(f"network field 'edges': {[i, j]} appears twice")
         nbrs[i].append(j)
         nbrs[j].append(i)
-    g = Graph(N, tuple(tuple(sorted(row)) for row in nbrs))
     weights = {}
     for i, j, v in _entries(doc, "weights", N, 3):
         edge = (min(i, j), max(i, j))
@@ -320,8 +305,9 @@ def mixing_from_json(text: str) -> MixingMatrix:
             raise ValueError(f"network field 'weights': {json.dumps([i, j, v])} "
                              f"needs a finite weight")
         weights[edge] = float(v)
+    nbrs = tuple(tuple(sorted(row)) for row in nbrs)
     try:
-        off = [np.array([weights[min(i, j), max(i, j)] for j in g.neighbor_lists[i]])
+        off = [np.array([weights[min(i, j), max(i, j)] for j in nbrs[i]])
                for i in range(N)]
     except KeyError as exc:
         raise ValueError(f"network field 'weights' has no weight for edge {exc}")
@@ -330,7 +316,8 @@ def mixing_from_json(text: str) -> MixingMatrix:
     if not all(type(v) in (int, float) and math.isfinite(v) for v in doc["diag"]):
         raise ValueError("network field 'diag' needs finite numbers")
     diag = np.array(doc["diag"], dtype=float)
-    g.validate()
-    w = _build_mixing(N, g.neighbor_lists, off, diag)
+    if not _connected(nbrs):
+        raise ValueError("graph is not connected")
+    w = _build_mixing(nbrs, off, diag)
     w.validate()
     return w

@@ -6,7 +6,6 @@ by the Chebyshev-accelerated inner solver (see the package README).
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -45,23 +44,21 @@ def random_subproblem(seed, max_nodes=12, max_dim=5, q_frac=0.99):
 
 class TestCriterion1JorCorrectness:
     def test_jor_against_direct_solve_and_divergence(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            checked = 0
-            for seed in range(20):
-                sub, _ = random_subproblem(seed)
-                rho = contraction_estimate(sub)
-                A, c = dense_system(sub)
-                x_star = np.linalg.solve(A, c)
-                scale = np.linalg.norm(x_star)
-                z = np.zeros_like(x_star)
-                cap = int(abs(math.log(1e-9) / math.log(rho))) + 200
-                for _ in range(cap):
-                    z = jor_step(z, sub)
-                    if np.linalg.norm(z - x_star) <= 1e-8 * scale:
-                        break
-                assert np.linalg.norm(z - x_star) <= 1e-8 * scale
-                checked += 1
+        checked = 0
+        for seed in range(20):
+            sub, _ = random_subproblem(seed)
+            rho = contraction_estimate(sub)
+            A, c = dense_system(sub)
+            x_star = np.linalg.solve(A, c)
+            scale = np.linalg.norm(x_star)
+            z = np.zeros_like(x_star)
+            cap = int(abs(math.log(1e-9) / math.log(rho))) + 200
+            for _ in range(cap):
+                z = jor_step(z, sub)
+                if np.linalg.norm(z - x_star) <= 1e-8 * scale:
+                    break
+            assert np.linalg.norm(z - x_star) <= 1e-8 * scale
+            checked += 1
 
         # beyond the convergence interval the iteration must blow up
         sub, consts = random_subproblem(3)
@@ -101,34 +98,32 @@ class TestCriterion3InnerCountSufficiency:
     def test_gradient_tolerance_after_planned_rounds(self):
         violations = 0
         instances = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for N in (10, 30):
-                for n in (2, 10):
-                    for seed in range(5):
-                        p = generate_quadratic(N, n, 7000 + 13 * seed + N + n)
-                        w = metropolis_weights(generate_geometric_graph(N, 500 + seed))
-                        consts = constants_for(p)
-                        sched = Schedule(theta0=2 * consts.L, q_mode="per_stage")
-                        tr = efix_q(p, w, sched, Budget(outer=5),
-                                    record_rounds=False)
-                        assert len(tr.outer) == 5
-                        for rec in tr.outer:
-                            assert rec.k_run == rec.k_planned
-                            if rec.grad_norm > rec.epsilon:
-                                violations += 1
-                        # independent dense reconstruction of the last stage
-                        Bblk = np.zeros((N * n, N * n))
-                        for i in range(N):
-                            Bblk[i * n:(i + 1) * n, i * n:(i + 1) * n] = p.B[i]
-                        last = tr.outer[-1]
-                        A = Bblk + last.theta * np.kron(np.eye(N) - w.to_dense(),
-                                                        np.eye(n))
-                        c = np.concatenate([p.B[i] @ p.b[i] for i in range(N)])
-                        dense_norm = np.linalg.norm(A @ tr.x_final - c)
-                        if dense_norm > last.epsilon:
+        for N in (10, 30):
+            for n in (2, 10):
+                for seed in range(5):
+                    p = generate_quadratic(N, n, 7000 + 13 * seed + N + n)
+                    w = metropolis_weights(generate_geometric_graph(N, 500 + seed))
+                    consts = constants_for(p)
+                    sched = Schedule(theta0=2 * consts.L, q_mode="per_stage")
+                    tr = efix_q(p, w, sched, Budget(outer=5),
+                                record_rounds=False)
+                    assert len(tr.outer) == 5
+                    for rec in tr.outer:
+                        assert rec.k_run == rec.k_planned
+                        if rec.grad_norm > rec.epsilon:
                             violations += 1
-                        instances += 1
+                    # independent dense reconstruction of the last stage
+                    Bblk = np.zeros((N * n, N * n))
+                    for i in range(N):
+                        Bblk[i * n:(i + 1) * n, i * n:(i + 1) * n] = p.B[i]
+                    last = tr.outer[-1]
+                    A = Bblk + last.theta * np.kron(np.eye(N) - w.to_dense(),
+                                                    np.eye(n))
+                    c = np.concatenate([p.B[i] @ p.b[i] for i in range(N)])
+                    dense_norm = np.linalg.norm(A @ tr.x_final - c)
+                    if dense_norm > last.epsilon:
+                        violations += 1
+                    instances += 1
         report(3, instances == 20 and violations == 0,
                f"{instances} instances x 5 stages: {violations} violations of "
                f"||grad Phi_theta(x)|| <= eps after exactly k(s) rounds")
@@ -144,10 +139,8 @@ class TestCriterion4ExactConvergence:
         p = generate_quadratic(30, 10, 1001)
         w = metropolis_weights(generate_geometric_graph(30, 1))
         consts = constants_for(p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            tr = efix_q(p, w, Schedule(theta0=2 * consts.L),
-                        Budget(scalar_products=1_000_000))
+        tr = efix_q(p, w, Schedule(theta0=2 * consts.L),
+                    Budget(scalar_products=1_000_000))
         budget_rows = [r for r in tr.records if r.cum_sp_max <= 1_000_000]
         best = min(r.error_e for r in budget_rows)
         report(4, best <= 1e-4,
@@ -162,23 +155,21 @@ class TestCriterion5RateAndComplexity:
         # kappa < 2 (the balance formula's domain at theta = 1).
         slopes = []
         bound_ok = True
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for seed in (2, 3, 4, 5, 7):
-                p = generate_quadratic(5, 3, seed + 1000, spectrum=(0.1, 0.2))
-                w = metropolis_weights(generate_geometric_graph(5, seed))
-                consts = constants_for(p)
-                assert consts.kappa < 2.0
-                sched = Schedule(theta0=1.0, theta_rule="linear", q_mode="per_stage")
-                tr = efix_q(p, w, sched, Budget(outer=51), record_rounds=False)
-                slopes.append(slope_fit(tr, (5, 50)))
-                errs = [rec.error_max for rec in tr.outer]
-                for tol in (errs[10] * 1.01, errs[25] * 1.01, errs[45] * 1.01):
-                    hit_theta = first_hit(tr, tol)
-                    if hit_theta is None:
-                        continue
-                    if hit_theta > complexity_bound(consts, w.lambda2, tol):
-                        bound_ok = False
+        for seed in (2, 3, 4, 5, 7):
+            p = generate_quadratic(5, 3, seed + 1000, spectrum=(0.1, 0.2))
+            w = metropolis_weights(generate_geometric_graph(5, seed))
+            consts = constants_for(p)
+            assert consts.kappa < 2.0
+            sched = Schedule(theta0=1.0, theta_rule="linear", q_mode="per_stage")
+            tr = efix_q(p, w, sched, Budget(outer=51), record_rounds=False)
+            slopes.append(slope_fit(tr, (5, 50)))
+            errs = [rec.error_max for rec in tr.outer]
+            for tol in (errs[10] * 1.01, errs[25] * 1.01, errs[45] * 1.01):
+                hit_theta = first_hit(tr, tol)
+                if hit_theta is None:
+                    continue
+                if hit_theta > complexity_bound(consts, w.lambda2, tol):
+                    bound_ok = False
         ok = all(s <= -0.9 for s in slopes) and bound_ok
         report(5, ok,
                f"log-log slopes over theta in [5,50]: "
@@ -255,10 +246,8 @@ class TestCriterion8EfixGSoundness:
         w = metropolis_weights(generate_geometric_graph(10, 1))
         consts = constants_for(p)
         oracle = oracle_logistic(p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            tr = efix_g(p, w, Schedule(theta0=2 * consts.L, q_mode="per_stage"),
-                        Budget(rounds=25_000), oracle=oracle)
+        tr = efix_g(p, w, Schedule(theta0=2 * consts.L, q_mode="per_stage"),
+                    Budget(rounds=25_000), oracle=oracle)
         gap = min(r.error_v for r in tr.records) - oracle.f_star
         value_ok = gap <= 1e-3
 
@@ -338,7 +327,7 @@ class TestCriterion10NetworkInvariants:
                 assert np.max(np.abs(W.sum(axis=0) - 1.0)) <= 1e-12
                 for i in range(N):
                     nz = set(np.flatnonzero(W[i] != 0)) - {i}
-                    assert nz == set(g.neighbor_lists[i])
+                    assert nz == set(g[i])
                 assert w.lambda2 < 1.0
                 pairs += 1
         report(10, pairs == 102,

@@ -37,9 +37,9 @@ def path3_network(n=3, edges=([0, 1], [1, 2]), weights=([0, 1, 0.5], [1, 2, 0.5]
                        "diag": list(diag)})
 
 
-def identity_problem(B=((1.0, 0.0, 0.0, 1.0),) * 3, b=((0.0, 1.0),) * 3):
+def identity_problem(B=((1.0, 0.0, 0.0, 1.0),) * 3, b=((0.0, 1.0),) * 3, n=2):
     """A problem file's text: by default N=3 nodes of B_ii = I and n=2."""
-    return json.dumps({"n": 2, "N": 3, "B": list(B), "b": list(b)})
+    return json.dumps({"n": n, "N": 3, "B": list(B), "b": list(b)})
 
 
 def read_rows(path):
@@ -113,7 +113,7 @@ class TestRun:
         assert main(["run", "--config", cfg]) == 0
         rows = read_rows(tmp_path / "trace.csv")
         g = generate_geometric_graph(6, 11)
-        total_degree = sum(g.degree(i) for i in range(6))
+        total_degree = sum(len(g[i]) for i in range(6))
         by_round = {}
         for r in rows:
             by_round[int(r["round"])] = int(r["cum_vectors_sent"])
@@ -226,6 +226,28 @@ class TestRun:
          "spectrum"),
         ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "spectrum": ["a", 1]}},
          "spectrum"),
+        ({"problem": dict(LOGISTIC, mu=float("nan")), "network": {"N": 4, "seed": 6},
+          "algorithm": {"name": "efix-g"}}, "mu must be finite and positive, got nan"),
+        ({"problem": dict(LOGISTIC, mu=float("inf")), "network": {"N": 4, "seed": 6},
+          "algorithm": {"name": "efix-g"}}, "mu must be finite and positive, got inf"),
+        ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2,
+                      "spectrum": [1, float("inf")]}}, "high < inf, got [1, inf]"),
+        ({"budget": {"rounds": 5, "outr": 3}}, "unknown budget field 'outr'"),
+        ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "shift_range": [0, 1]}},
+         "unknown problem field 'shift_range'"),
+        ({"network": {"N": 6, "seed": 11, "radius": 0.5}}, "unknown network field 'radius'"),
+        ({"algorithm": {"name": "diging", "alpha": 0.1}}, "unknown algorithm field 'alpha'"),
+        ({"seeds": 3}, "unknown config field 'seeds'"),
+        ({"problem": {"family": "quadratic", "N": 6.7, "n": 3, "seed": 2}},
+         "problem N must be an integer, got 6.7"),
+        ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2.9}},
+         "problem seed must be an integer, got 2.9"),
+        ({"network": {"N": 6, "seed": 11.5}}, "network seed must be an integer, got 11.5"),
+        ({"algorithm": {"name": "diging", "m": 2.5}}, "algorithm m must be an integer, got 2.5"),
+        ({"problem": dict(LOGISTIC, T=True), "network": {"N": 4, "seed": 6},
+          "algorithm": {"name": "efix-g"}}, "problem T must be an integer, got True"),
+        ({"schedule": {"theta0": 50.0, "theta0_multiplier": 3.0}},
+         "both theta0 and theta0_multiplier"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, section, fragment):
         section = json.loads(json.dumps(section).replace("{tmp}", str(tmp_path)))
@@ -252,7 +274,8 @@ class TestRun:
         ("network_file", path3_network(edges=[[0, 1], [-1, 2]]), "[-1, 2] must join"),
         ("network_file", path3_network(diag=[0.5, 0.0]), "'diag' needs 3 entries"),
         ("network_file", path3_network(n=4, diag=[0.5, 0.0, 0.5, 1.0]), "not connected"),
-        ("network_file", path3_network(n=3.5), "field 'n' must be a positive integer, got 3.5"),
+        ("network_file", path3_network(n=3.5),
+         "field 'n' must be an integer of at least 2, got 3.5"),
         ("network_file", path3_network(edges=[[0, 1.0], [1, 2]]), "field 'edges': [0, 1.0]"),
         ("network_file", path3_network(edges=[[0, True], [1, 2]]), "field 'edges': [0, true]"),
         ("network_file", path3_network(weights=[[0, 1, 0.5], [1, 2, 0.5], [0, 2, 0.3]]),
@@ -274,6 +297,9 @@ class TestRun:
          "non-symmetric block 0"),
         ("problem_file", identity_problem(B=[[-1.0, 0.0, 0.0, -1.0]] * 3),
          "field 'B' is not positive definite"),
+        ("network_file", path3_network(n=1, edges=[], weights=[], diag=[1.0]),
+         "field 'n' must be an integer of at least 2, got 1"),
+        ("problem_file", identity_problem(n=2.5), "must be integers, got 2.5 and 3"),
     ], ids=["problem-without-n", "problem-not-object", "network-without-n",
             "network-without-weights", "network-edge-without-weight",
             "network-duplicate-edge", "network-self-loop", "network-id-above-n",
@@ -282,7 +308,7 @@ class TestRun:
             "network-weight-off-edge", "network-weight-twice", "network-nan-weight",
             "network-infinite-diag", "network-text-diag", "network-edges-not-list",
             "problem-nan-entry", "problem-infinite-shift", "problem-non-symmetric",
-            "problem-negative-definite"])
+            "problem-negative-definite", "network-one-node", "problem-fractional-n"])
     def test_bad_input_file_is_one_error_line(self, tmp_path, capsys, key, text, fragment):
         path = tmp_path / "input.json"
         path.write_text(text)

@@ -10,12 +10,12 @@ from efix.penalty import (ChebyshevPlan, NonContractiveError, assemble, assemble
                           relaxation_bound, relaxed)
 from efix.problems import (LogisticProblem, QuadraticProblem, constants_for,
                            generate_logistic, generate_quadratic)
-from efix.topology import Graph, generate_geometric_graph, metropolis_weights
+from efix.topology import generate_geometric_graph, metropolis_weights
 
 
 def two_node_instance(q=1.0):
     """n=1, N=2, B=I, b=(0,2), theta=1, w12=1: A=[[2,-1],[-1,2]], c=(0,2)."""
-    w = metropolis_weights(Graph(2, ((1,), (0,))))
+    w = metropolis_weights(((1,), (0,)))
     p = QuadraticProblem(np.ones((2, 1, 1)), np.array([[0.0], [2.0]]))
     return relaxed(assemble(p.B, p.Bb, w, theta=1.0), q=q), p, w
 
@@ -44,7 +44,7 @@ class TestAssembly:
 
     def test_self_loop_row_reduces_to_hessian(self):
         # w_ii = 1 leaves A_ii = B_ii regardless of theta
-        w = metropolis_weights(Graph(2, ((1,), (0,))))
+        w = metropolis_weights(((1,), (0,)))
         object.__setattr__(w, "diag", np.array([1.0, 1.0]))
         p = QuadraticProblem(3.0 * np.ones((2, 1, 1)), np.zeros((2, 1)))
         sub = relaxed(assemble(p.B, p.Bb, w, theta=17.0), q=0.5)
@@ -67,7 +67,7 @@ class TestAssembly:
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         p = LogisticProblem(X, np.array([1.0, -1.0]),
                             [np.array([0, 1]), np.array([], dtype=int)], 0.25)
-        w = metropolis_weights(Graph(2, ((1,), (0,))))
+        w = metropolis_weights(((1,), (0,)))
         sub = assemble_model(p, np.zeros(4), w, theta=2.0)
         # empty node: A_ii = mu I + theta (1 - w_ii) I
         np.testing.assert_allclose(sub.A_self[1], (0.25 + 2.0) * np.eye(2), atol=1e-15)
@@ -86,7 +86,7 @@ class TestAssembly:
         np.testing.assert_allclose(gvec, grads + 3.0 * (Lap @ x), atol=1e-10)
 
     def test_nonpositive_diagonal_rejected(self):
-        w = metropolis_weights(Graph(2, ((1,), (0,))))
+        w = metropolis_weights(((1,), (0,)))
         H = np.array([[[-5.0]], [[1.0]]])
         with pytest.raises(ValueError, match="diagonal"):
             assemble(H, np.zeros((2, 1)), w, theta=1.0)
@@ -160,7 +160,7 @@ class TestJorStep:
 
     def test_diagonal_system_single_jacobi_step(self):
         # no neighbors contribute: q = 1 lands on D^{-1} c in one step
-        w = metropolis_weights(Graph(2, ((1,), (0,))))
+        w = metropolis_weights(((1,), (0,)))
         object.__setattr__(w, "off_diag", (np.array([0.0]), np.array([0.0])))
         object.__setattr__(w, "wt", np.zeros((2, 1)))
         object.__setattr__(w, "diag", np.array([1.0, 1.0]))
@@ -241,7 +241,7 @@ class TestContraction:
         assert vals[-1] > 0.99
 
     def test_zero_iteration_matrix_floors(self):
-        w = metropolis_weights(Graph(2, ((1,), (0,))))
+        w = metropolis_weights(((1,), (0,)))
         object.__setattr__(w, "off_diag", (np.array([0.0]), np.array([0.0])))
         object.__setattr__(w, "wt", np.zeros((2, 1)))
         object.__setattr__(w, "diag", np.array([1.0, 1.0]))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from efix.penalty import assemble, assemble_model
-from efix.problems import (LogisticProblem, QuadraticProblem, constants_for,
+from efix.problems import (LogisticProblem, QuadraticProblem, _feature_scale, constants_for,
                            generate_logistic, generate_quadratic, load_libsvm,
-                           logistic_constants, partition_and_scale, partition_data,
-                           problem_fingerprint, quadratic_constants, scale_features)
+                           logistic_constants, partition_and_scale, problem_fingerprint,
+                           quadratic_constants)
 from efix.topology import generate_geometric_graph, metropolis_weights
 
 
@@ -112,63 +112,58 @@ class TestLoadLibsvm:
 
 class TestPartition:
     def test_even_split(self):
-        p = partition_data(np.ones((10, 2)), np.ones(10), 2, seed=0, mu=0.1)
+        p = partition_and_scale(np.ones((10, 2)), np.ones(10), 2, seed=0, mu=0.1)
         assert sorted(len(J) for J in p.partition) == [5, 5]
 
     def test_near_even_split(self):
-        p = partition_data(np.ones((7, 2)), np.ones(7), 3, seed=0, mu=0.1)
+        p = partition_and_scale(np.ones((7, 2)), np.ones(7), 3, seed=0, mu=0.1)
         assert sorted(len(J) for J in p.partition) == [2, 2, 3]
 
     def test_deterministic(self):
         X, y = np.ones((9, 2)), np.ones(9)
-        a = partition_data(X, y, 3, seed=4, mu=0.1)
-        b = partition_data(X, y, 3, seed=4, mu=0.1)
+        a = partition_and_scale(X, y, 3, seed=4, mu=0.1)
+        b = partition_and_scale(X, y, 3, seed=4, mu=0.1)
         assert all(np.array_equal(J, K) for J, K in zip(a.partition, b.partition))
 
     def test_covers_all_samples_disjointly(self):
-        p = partition_data(np.ones((11, 2)), np.ones(11), 4, seed=1, mu=0.1)
+        p = partition_and_scale(np.ones((11, 2)), np.ones(11), 4, seed=1, mu=0.1)
         joined = np.sort(np.concatenate(p.partition))
         np.testing.assert_array_equal(joined, np.arange(11))
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            partition_data(np.ones((2, 2)), np.ones(2), 3, seed=0, mu=0.1)
+            partition_and_scale(np.ones((2, 2)), np.ones(2), 3, seed=0, mu=0.1)
 
 
 class TestScaleFeatures:
     def test_single_sample(self):
-        p = LogisticProblem(np.array([[2.0, 0.0]]), np.array([1.0]), [np.array([0])], 0.1)
-        q = scale_features(p)
-        np.testing.assert_array_equal(q.features, [[1.0, 0.0]])
-        gram = q.features.T @ q.features
+        D = np.array([[2.0, 0.0]])
+        scaled = D / _feature_scale(D, [np.array([0])])
+        np.testing.assert_array_equal(scaled, [[1.0, 0.0]])
+        gram = scaled.T @ scaled
         assert np.linalg.eigvalsh(gram)[-1] == pytest.approx(1.0, abs=1e-15)
 
     def test_idempotent_at_fixed_point(self):
-        p = LogisticProblem(np.array([[1.0, 0.0]]), np.array([1.0]), [np.array([0])], 0.1)
-        q = scale_features(p)
-        assert np.array_equal(q.features, p.features)
+        assert _feature_scale(np.array([[1.0, 0.0]]), [np.array([0])]) == 1.0
 
     def test_two_nodes_worst_gram_normalized(self):
         X = np.array([[2.0, 0.0], [0.0, 1.0]])
-        p = LogisticProblem(X, np.array([1.0, -1.0]),
-                            [np.array([0]), np.array([1])], 0.1)
-        q = scale_features(p)
-        g0 = np.linalg.eigvalsh(np.outer(q.features[0], q.features[0]))[-1]
-        g1 = np.linalg.eigvalsh(np.outer(q.features[1], q.features[1]))[-1]
+        scaled = X / _feature_scale(X, [np.array([0]), np.array([1])])
+        g0 = np.linalg.eigvalsh(np.outer(scaled[0], scaled[0]))[-1]
+        g1 = np.linalg.eigvalsh(np.outer(scaled[1], scaled[1]))[-1]
         assert g0 == pytest.approx(1.0, abs=1e-15)
         assert g1 == pytest.approx(0.25, abs=1e-15)
 
     def test_all_zero_rejected(self):
-        p = LogisticProblem(np.zeros((2, 2)), np.array([1.0, -1.0]),
-                            [np.array([0]), np.array([1])], 0.1)
         with pytest.raises(ValueError):
-            scale_features(p)
+            _feature_scale(np.zeros((2, 2)), [np.array([0]), np.array([1])])
 
     def test_partition_and_scale_builds_one_problem(self, monkeypatch):
         rng = np.random.default_rng(43)
         D = rng.standard_normal((203, 4)) * 3.0
         zeta = np.where(rng.random(203) < 0.5, -1.0, 1.0)
-        ref = scale_features(partition_data(D, zeta, 10, seed=2, mu=1e-2))
+        # the split: seed 2's permutation of the sample ids, cut into 10 sorted blocks
+        parts = [np.sort(J) for J in np.array_split(np.random.default_rng(2).permutation(203), 10)]
         built, init = [], LogisticProblem.__init__
 
         def counted_init(self, *args):
@@ -178,9 +173,9 @@ class TestScaleFeatures:
         p = partition_and_scale(D, zeta, 10, seed=2, mu=1e-2)
         generate_logistic(10, 203, 4, seed=3, mu=1e-2)
         assert len(built) == 2
-        assert np.array_equal(p.features.view(np.int64), ref.features.view(np.int64))
-        assert np.array_equal(p.labels, ref.labels) and p.mu == ref.mu
-        assert all(np.array_equal(J, K) for J, K in zip(p.partition, ref.partition))
+        assert all(np.array_equal(J, K) for J, K in zip(p.partition, parts, strict=True))
+        assert np.array_equal(bits(p.features), bits(TestStackedSetup.loop_scale(D, parts)))
+        assert np.array_equal(p.labels, zeta) and p.mu == 1e-2
 
 
 class TestLogisticDerivatives:
@@ -257,7 +252,7 @@ def two_size_classes():
     rng = np.random.default_rng(31)
     D = rng.standard_normal((203, 4))
     zeta = np.where(rng.random(203) < 0.5, -1.0, 1.0)
-    return scale_features(partition_data(D, zeta, 10, seed=2, mu=1e-2)), rng
+    return partition_and_scale(D, zeta, 10, seed=2, mu=1e-2), rng
 
 
 def three_size_classes_and_an_empty_block():
@@ -310,11 +305,10 @@ class TestStackedLogisticGradient:
 
     def test_built_only_on_use(self):
         rng = np.random.default_rng(35)
-        p = partition_data(rng.standard_normal((20, 3)), np.ones(20), 4, seed=1, mu=1e-2)
-        scaled = scale_features(p)
-        assert "size_classes" not in vars(p) and "size_classes" not in vars(scaled)
-        scaled.stacked_gradient(np.zeros((4, 3)))
-        assert "size_classes" in vars(scaled) and "size_classes" not in vars(p)
+        p = partition_and_scale(rng.standard_normal((20, 3)), np.ones(20), 4, seed=1, mu=1e-2)
+        assert "size_classes" not in vars(p)
+        p.stacked_gradient(np.zeros((4, 3)))
+        assert "size_classes" in vars(p)
 
 
 def stacked_model_cases():
@@ -417,7 +411,7 @@ class TestStackedSetup:
     SHAPES = [(2, 1), (8, 3), (30, 10), (100, 10)]
 
     @staticmethod
-    def loop_quadratic(N, n, seed, spectrum=(1.0, 101.0), shift_range=(1.0, 31.0)):
+    def loop_quadratic(N, n, seed, spectrum=(1.0, 101.0)):
         rng = np.random.default_rng(seed)
         B = np.empty((N, n, n))
         b = np.empty((N, n))
@@ -427,7 +421,7 @@ class TestStackedSetup:
             S = rng.uniform(spectrum[0], spectrum[1], n)
             M = (P * S) @ P.T
             B[i] = (M + M.T) / 2.0
-            b[i] = rng.uniform(shift_range[0], shift_range[1], n)
+            b[i] = rng.uniform(1.0, 31.0, n)
         return B, b
 
     @staticmethod
@@ -442,13 +436,13 @@ class TestStackedSetup:
         return L, mu, mu * L / (mu + L), math.sqrt(2.0 * L * f0), f0
 
     @staticmethod
-    def loop_scale(p):
+    def loop_scale(features, partition):
         worst = 0.0
-        for J in p.partition:
-            D = p.features[J]
+        for J in partition:
+            D = features[J]
             if len(J):
                 worst = max(worst, float(np.linalg.eigvalsh(D.T @ D)[-1]))
-        return p.features / math.sqrt(worst)
+        return features / math.sqrt(worst)
 
     @pytest.mark.parametrize("N, n", SHAPES)
     def test_quadratic_instance_and_constants(self, N, n):
@@ -461,22 +455,22 @@ class TestStackedSetup:
             y = np.random.default_rng(seed).standard_normal(n) * 10.0
             assert p.global_objective(y) == sum(p.local_objective(i, y) for i in range(N))
 
-    def test_custom_spectrum_and_shift(self):
-        p = generate_quadratic(5, 4, 3, spectrum=(2.0, 2.0), shift_range=(-1.0, 1.0))
-        B, b = self.loop_quadratic(5, 4, 3, spectrum=(2.0, 2.0), shift_range=(-1.0, 1.0))
+    def test_custom_spectrum(self):
+        p = generate_quadratic(5, 4, 3, spectrum=(2.0, 2.0))
+        B, b = self.loop_quadratic(5, 4, 3, spectrum=(2.0, 2.0))
         assert np.array_equal(bits(p.B), bits(B)) and np.array_equal(bits(p.b), bits(b))
 
     def test_scale_features_over_two_block_sizes(self):
         rng = np.random.default_rng(41)
         D = rng.standard_normal((203, 4)) * 3.0
         zeta = np.where(rng.random(203) < 0.5, -1.0, 1.0)
-        p = partition_data(D, zeta, 10, seed=2, mu=1e-2)
+        p = partition_and_scale(D, zeta, 10, seed=2, mu=1e-2)
         assert sorted({len(J) for J in p.partition}) == [20, 21]
-        assert np.array_equal(bits(scale_features(p).features), bits(self.loop_scale(p)))
-        q = LogisticProblem(D[:12], zeta[:12], [[0, 3, 5], [], [1], [2, 4, 6, 7, 8], [9, 10, 11]],
-                            0.1)
-        assert np.array_equal(bits(scale_features(q).features), bits(self.loop_scale(q)))
-        assert "size_classes" not in vars(p) and "size_classes" not in vars(q)
+        assert np.array_equal(bits(p.features), bits(self.loop_scale(D, p.partition)))
+        assert "size_classes" not in vars(p)
+        parts = [np.array(J, dtype=int) for J in ([0, 3, 5], [], [1], [2, 4, 6, 7, 8], [9, 10, 11])]
+        assert np.array_equal(bits(D[:12] / _feature_scale(D[:12], parts)),
+                              bits(self.loop_scale(D[:12], parts)))
 
     def test_stacked_hessian_equals_local_hessian(self):
         rng = np.random.default_rng(42)

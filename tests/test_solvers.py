@@ -19,12 +19,12 @@ from efix.solvers import (DIVERGENCE_CEILING, Budget, OuterRecord, Schedule, Tra
                           _diging_update_factory, _efix_cheb_update, _efix_node_blocks, _emit,
                           _round_fault, cbar, diging, efix_g, efix_q, efix_q_stopping,
                           epsilon_balance, inner_count)
-from efix.topology import Graph, generate_geometric_graph, metropolis_weights
+from efix.topology import generate_geometric_graph, metropolis_weights
 
 
 def path3_instance():
     p = QuadraticProblem(np.ones((3, 1, 1)), np.array([[0.0], [3.0], [6.0]]))
-    w = metropolis_weights(Graph(3, ((1,), (0, 2), (1,))))
+    w = metropolis_weights(((1,), (0, 2), (1,)))
     return p, w
 
 
@@ -401,7 +401,7 @@ class TestDiging:
         Bbar = np.diag([2.0, 3.0])
         ystar = np.array([1.5, -0.5])
         p = QuadraticProblem(np.stack([Bbar] * 3), np.tile(ystar, (3, 1)))
-        w = metropolis_weights(Graph(3, ((1,), (0, 2), (1,))))
+        w = metropolis_weights(((1,), (0, 2), (1,)))
         tr = diging(p, w, alpha=0.05, budget=Budget(rounds=20),
                     x0=np.tile(ystar, (3, 1)))
         for rec in tr.records:

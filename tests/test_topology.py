@@ -4,26 +4,26 @@ import math
 import numpy as np
 import pytest
 
-from efix.topology import (Graph, GraphGenerationError, gather, generate_geometric_graph,
+from efix.topology import (GraphGenerationError, _connected, gather, generate_geometric_graph,
                            geometric_edges, metropolis_weights, mixing_from_json,
                            network_to_json)
 
 
 def path3():
-    return Graph(3, ((1,), (0, 2), (1,)))
+    return ((1,), (0, 2), (1,))
 
 
 def triangle():
-    return Graph(3, ((1, 2), (0, 2), (0, 1)))
+    return ((1, 2), (0, 2), (0, 1))
 
 
 def star4():
     # node 0 is the hub
-    return Graph(4, ((1, 2, 3), (0,), (0,), (0,)))
+    return ((1, 2, 3), (0,), (0,), (0,))
 
 
 def complete(N):
-    return Graph(N, tuple(tuple(j for j in range(N) if j != i) for i in range(N)))
+    return tuple(tuple(j for j in range(N) if j != i) for i in range(N))
 
 
 class TestGeometricGeneration:
@@ -46,13 +46,13 @@ class TestGeometricGeneration:
     def test_deterministic_per_seed(self):
         a = generate_geometric_graph(20, 5)
         b = generate_geometric_graph(20, 5)
-        assert a.neighbor_lists == b.neighbor_lists
+        assert a == b
 
     def test_generated_graphs_are_connected(self):
         for seed in range(30):
             g = generate_geometric_graph(12, seed)
-            assert g.is_connected()
-            g.validate()
+            assert _connected(g)
+            assert all(i not in row and all(i in g[j] for j in row) for i, row in enumerate(g))
 
     def test_attempt_bound_raises(self):
         # find a seed whose first draw is disconnected, then forbid resampling
@@ -96,7 +96,7 @@ class TestMetropolisWeights:
                 mask = W != 0
                 for i in range(N):
                     off = set(np.flatnonzero(mask[i])) - {i}
-                    assert off == set(g.neighbor_lists[i])
+                    assert off == set(g[i])
                 assert 0 <= w.w_bar < 1
                 assert 0 <= w.lambda2 < 1
                 count += 1
@@ -118,7 +118,7 @@ class TestSpectralGap:
 
     def test_bipartite_returns_one(self):
         # two nodes joined by one edge: W = [[0,1],[1,0]], eigenvalues {1,-1}
-        w = metropolis_weights(Graph(2, ((1,), (0,))))
+        w = metropolis_weights(((1,), (0,)))
         assert w.lambda2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -126,9 +126,9 @@ class TestNeighborTable:
     def test_rows_follow_neighbor_lists_then_pad_with_self(self):
         for g in (star4(), path3(), generate_geometric_graph(30, 1)):
             w = metropolis_weights(g)
-            dmax = max(len(nb) for nb in g.neighbor_lists)
-            assert w.idx.shape == w.wt.shape == (g.node_count, dmax)
-            for i, nbrs in enumerate(g.neighbor_lists):
+            dmax = max(len(nb) for nb in g)
+            assert w.idx.shape == w.wt.shape == (len(g), dmax)
+            for i, nbrs in enumerate(g):
                 d = len(nbrs)
                 assert list(w.idx[i]) == list(nbrs) + [i] * (dmax - d)
                 assert np.array_equal(w.wt[i, :d], w.off_diag[i])
@@ -150,12 +150,12 @@ class TestNeighborTable:
     def test_gather_equals_the_neighbor_loop(self):
         # (graph, n): the single edge, small and criterion-4 sizes, and
         # N=100 whose rows pad up to dmax=16
-        shapes = [(Graph(2, ((1,), (0,))), 1), (generate_geometric_graph(7, 2), 2),
+        shapes = [(((1,), (0,)), 1), (generate_geometric_graph(7, 2), 2),
                   (generate_geometric_graph(30, 2), 1), (generate_geometric_graph(30, 2), 10),
                   (generate_geometric_graph(100, 7), 10)]
         for seed, (g, n) in enumerate(shapes):
             w = metropolis_weights(g)
-            N = g.node_count
+            N = len(g)
             rng = np.random.default_rng(seed)
             # per-row magnitudes from 1e-8 to 1e8
             Z = rng.standard_normal((N, n)) * np.logspace(-8, 8, N)[:, None]
@@ -168,7 +168,7 @@ class TestNeighborTable:
                 assert out.shape == (N, n)
                 for i in range(N):
                     ref = None if start is None else start[i]
-                    for k, j in enumerate(g.neighbor_lists[i]):
+                    for k, j in enumerate(g[i]):
                         term = (scale * w.off_diag[i][k]) * Z[j]
                         ref = term if ref is None else ref + term
                     assert np.array_equal(out[i].view(np.int64), ref.view(np.int64))
@@ -182,18 +182,18 @@ class TestNeighborTable:
         w = metropolis_weights(g)
         rng = np.random.default_rng(5)
         for n in (1, 10, 1):
-            Z = rng.standard_normal((g.node_count, n))
+            Z = rng.standard_normal((len(g), n))
             out = gather(w, Z)
             assert out.shape == Z.shape
-            for i in range(g.node_count):
+            for i in range(len(g)):
                 ref = None
-                for k, j in enumerate(g.neighbor_lists[i]):
+                for k, j in enumerate(g[i]):
                     term = w.off_diag[i][k] * Z[j]
                     ref = term if ref is None else ref + term
                 assert np.array_equal(out[i].view(np.int64), ref.view(np.int64))
         for n in (1, 10):
             stack = w.slot_weights(n)
-            assert stack.shape == (w.idx.shape[1], g.node_count, n)
+            assert stack.shape == (w.idx.shape[1], len(g), n)
             assert w.slot_weights(n) is stack and not stack.flags.writeable
         assert w.slot_idx.flags.c_contiguous and not w.slot_idx.flags.writeable
         assert np.array_equal(w.slot_idx, w.idx.T)
@@ -245,15 +245,15 @@ class TestStackedSetup:
 
     @staticmethod
     def loop_metropolis(g):
-        deg = [g.degree(i) for i in range(g.node_count)]
-        off, diag = [], np.empty(g.node_count)
-        for i in range(g.node_count):
-            ws = np.array([1.0 / max(deg[i], deg[j]) for j in g.neighbor_lists[i]])
+        deg = [len(row) for row in g]
+        off, diag = [], np.empty(len(g))
+        for i in range(len(g)):
+            ws = np.array([1.0 / max(deg[i], deg[j]) for j in g[i]])
             off.append(ws)
             diag[i] = 1.0 - ws.sum()
         W = np.diag(diag)
         for i, ws in enumerate(off):
-            W[i, list(g.neighbor_lists[i])] = ws
+            W[i, list(g[i])] = ws
         ev = np.linalg.eigvalsh(W)
         return off, diag, float(max(abs(ev[0]), abs(ev[-2])))
 
@@ -273,9 +273,9 @@ class TestStackedSetup:
         for g in graphs:
             w = metropolis_weights(g)
             off, diag, lambda2 = self.loop_metropolis(g)
-            assert len(w.off_diag) == g.node_count
+            assert len(w.off_diag) == len(g)
             for mine, ref in zip(w.off_diag, off):
                 assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
             assert np.array_equal(w.diag.view(np.int64), diag.view(np.int64))
             assert w.lambda2 == lambda2 and w.w_bar == float(diag.max())
-        assert max(graphs[-1].degree(i) for i in range(100)) > 8
+        assert max(len(graphs[-1][i]) for i in range(100)) > 8
