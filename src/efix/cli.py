@@ -89,6 +89,10 @@ def load_config(path, overrides):
               if overrides.get(f"budget_{key}") is not None}
     if budget:
         cfg["budget"] = budget
+    # a section that names a file runs the file as written: another field would change nothing
+    for section, key in (("problem", "problem_file"), ("network", "network_file")):
+        if key in cfg.get(section, {}) and len(cfg[section]) > 1:
+            raise ValueError(f"{section} {key} takes no other field, got {sorted(cfg[section])}")
     return cfg
 
 
@@ -117,7 +121,7 @@ def resolve_problem(cfg):
                     raise ValueError(f"problem spectrum must be [low, high], got {spec['spectrum']}")
             return problems.generate_quadratic(spec["N"], spec["n"], spec["seed"], **kwargs)
         if family == "logistic":
-            mu = float(spec.get("mu", 1e-4))
+            mu = float(_number(spec, "mu", 1e-4))
             if "path" in spec:
                 features, labels = problems.load_libsvm(spec["path"])
                 return problems.partition_and_scale(features, labels, spec["N"], spec["seed"], mu)

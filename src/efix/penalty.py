@@ -174,13 +174,6 @@ def dense_system(sub: PenaltySubproblem):
     return blocks.transpose(0, 2, 1, 3).reshape(N * n, N * n), sub.c.reshape(-1)
 
 
-def dense_iteration_matrix(sub: PenaltySubproblem):
-    """The dense JOR matrix M = q D^{-1} (D - A) + (1 - q) I of a relaxed subproblem."""
-    A, _ = dense_system(sub)
-    dinv = sub.dinv.reshape(-1)
-    return np.eye(A.shape[0]) - sub.q * (dinv[:, None] * A)
-
-
 def contraction_estimate(sub: PenaltySubproblem) -> float:
     """Spectral radius rho of the JOR matrix M, its certified rate, in (0, 1).
 

@@ -18,6 +18,7 @@ require bit-identical traces.
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +72,7 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Budget:
-    """Stop conditions; at least one must be set.
+    """Stop conditions, each a nonnegative integer; at least one must be set.
 
     ``rounds`` caps communication rounds, ``outer`` caps outer stages,
     ``scalar_products`` caps the per-node maximum cumulative scalar
@@ -91,9 +92,10 @@ class Budget:
                 continue
             if isinstance(limit, bool) or not isinstance(limit, numbers.Real):
                 raise ValueError(f"budget limit {name} must be a number, got {limit!r}")
-            # a NaN limit is never reached: ledger.rounds >= nan is always false
-            if not isinstance(limit, numbers.Integral) and not math.isfinite(limit):
-                raise ValueError(f"budget limit {name} must be finite, got {limit}")
+            if not isinstance(limit, numbers.Integral):
+                # a NaN limit is never reached (rounds >= nan is false); 5.5 stops after 6
+                kind = "finite" if not math.isfinite(limit) else "an integer"
+                raise ValueError(f"budget limit {name} must be {kind}, got {limit}")
             if limit < 0:
                 raise ValueError(f"budget limit {name} must be nonnegative, got {limit}")
 
@@ -201,21 +203,17 @@ def _round_fault(Z):
     return "diverged" if np.isfinite(Z).all() else "numerical_failure"
 
 
-def _as_blocks(x0, N, n):
-    """The start point as a fresh (N, n) array; zeros when none is given."""
-    return np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float).reshape(N, n)
-
-
-def _emit(trace, ledger, X, s, theta, eps, problem, oracle, W_dense):
+def _emit(run, X, s=0, theta=None, eps=None):
+    """Append iterate X's trace row at the run's costs; DIGing's rows keep the defaults."""
     X = np.asarray(X)
-    residual = float(np.linalg.norm(X - W_dense @ X))
-    trace.records.append(analysis.TraceRecord(
-        round=ledger.rounds, outer_s=s, theta=theta, epsilon=eps,
-        error_e=analysis.error_e(X, oracle),
-        error_v=analysis.error_v(X, problem),
+    residual = float(np.linalg.norm(X - run.W_dense @ X))
+    run.trace.records.append(analysis.TraceRecord(
+        round=run.ledger.rounds, outer_s=s, theta=theta, epsilon=eps,
+        error_e=analysis.error_e(X, run.oracle),
+        error_v=analysis.error_v(X, run.problem),
         consensus_residual=residual,
-        cum_sp_max=ledger.max_sp,
-        cum_vectors_sent=ledger.total_sent))
+        cum_sp_max=run.ledger.max_sp,
+        cum_vectors_sent=run.ledger.total_sent))
 
 
 def _efix_node_blocks(sub, w, i):
@@ -242,89 +240,103 @@ def _efix_cheb_update(node, inbox, omega):
             "z_prev": node.state["z"]}
 
 
-def _run_efix(problem, w, sched, budget, algo, stopping=False, oracle=None, x0=None,
-              record_rounds=True):
-    N, n = problem.node_count, problem.dim
-    if w.node_count != N:
-        raise ValueError("network and problem disagree on the node count")
-    consts = problems.constants_for(problem)
-    oracle = oracle or analysis.solve_reference(problem)
-    W_dense = w.to_dense()
+_StageSetup = namedtuple("_StageSetup", "s theta eps sub plan")
 
-    Z = _as_blocks(x0, N, n)
-    ledger = simnet.CostLedger(w.degrees())
-    trace = Trace(algo=algo, problem_hash=problems.problem_fingerprint(problem),
-                  node_count=N, dim=n, centralized_reference=stopping,
-                  meta={"L": consts.L, "mu": consts.mu, "J": consts.J,
-                        "lambda2": w.lambda2, "w_bar": w.w_bar})
 
-    sp_round = 2 * n + 3
-    boundary_sp = None
-    if problem.family != "quadratic":
-        boundary_sp = np.array([len(J) + 2 * n for J in problem.partition], dtype=np.int64)
+class _Run:
+    """The set-up and bookkeeping that all four solvers share.
 
+    ``Z`` is the (N, n) iterate, from ``x0`` or else zeros, and ``fault``
+    the ``_round_fault`` that stops the run; ``finish`` flags it on the trace.
+    """
+
+    def __init__(self, problem, w, algo, oracle, x0, record_rounds, meta):
+        N, n = problem.node_count, problem.dim
+        if w.node_count != N:
+            raise ValueError("network and problem disagree on the node count")
+        self.problem, self.w, self.record_rounds = problem, w, record_rounds
+        self.oracle = oracle or analysis.solve_reference(problem)
+        self.W_dense = w.to_dense()
+        self.Z = np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float).reshape(N, n)
+        self.ledger = simnet.CostLedger(w.degrees())
+        self.trace = Trace(algo=algo, problem_hash=problems.problem_fingerprint(problem),
+                           node_count=N, dim=n, meta=meta)
+        self.fault = None
+
+    def finish(self):
+        if self.fault:
+            setattr(self.trace, self.fault, True)
+        self.trace.x_final = self.Z.reshape(-1)
+        return self.trace
+
+
+def _efix_run(algo, problem, w, oracle, x0, record_rounds):
+    """An EFIX run's harness, and the problem's constants that its trace carries."""
+    c = problems.constants_for(problem)
+    meta = {"L": c.L, "mu": c.mu, "J": c.J, "lambda2": w.lambda2, "w_bar": w.w_bar}
+    return _Run(problem, w, algo, oracle, x0, record_rounds, meta), c
+
+
+def _stages(run, consts, sched, budget):
+    """A ``_StageSetup`` for each penalty stage that the budget allows, until a round faults.
+
+    ``sub`` is the model's subproblem at the current iterate; on the general
+    family its re-linearization is charged before the stage's first row.
+    """
+    boundary_sp = None if run.problem.family == "quadratic" else np.array(
+        [len(J) + 2 * run.problem.dim for J in run.problem.partition], dtype=np.int64)
+    s = 0
+    while run.fault is None and s != budget.outer and (s == 0 or not budget.exhausted(run.ledger)):
+        theta_s = sched.theta_at(s)
+        sub = penalty.assemble_model(run.problem, run.Z, run.w, theta_s)
+        if boundary_sp is not None:
+            run.ledger.charge_local(boundary_sp)
+        yield _StageSetup(s, theta_s, sched.epsilon_at(s, consts, run.w.lambda2), sub,
+                          penalty.chebyshev_plan(sub, consts.mu))
+        s += 1
+
+
+def _stage(run, budget, st, done, k_planned=None):
+    """Run one stage's Chebyshev-JOR rounds from ``run.Z`` until ``done(k, Z)``.
+
+    The exit test runs before the budget check.  Emits the stage's rows and
+    record, and leaves the last round's iterate and fault in ``run``.
+    """
+    s, theta, eps, sub, plan = st
+    sweep = penalty.relaxed(sub, plan.q)
+    ledger, record, sp_round = run.ledger, run.record_rounds, 2 * sub.dim + 3
+    Z = Z_prev = run.Z
+    _emit(run, Z, s, theta, eps)
+    k, fault = 0, None
+    while fault is None and not done(k, Z) and not budget.exhausted(ledger):
+        Z, Z_prev = penalty.chebyshev_step(Z, Z_prev, sweep, plan.weight(k)), Z
+        ledger.charge_round(sp_round, 1)
+        k += 1
+        if record:
+            _emit(run, Z, s, theta, eps)
+        fault = _round_fault(Z)
+    run.Z, run.fault = Z, fault
+    run.trace.outer.append(OuterRecord(
+        s=s, theta=theta, epsilon=eps, q=plan.q, rho=plan.rate, k_planned=k_planned,
+        k_run=k, grad_norm=penalty.penalty_gradient(sub, Z)[1],
+        error_max=analysis.max_node_error(Z, run.oracle)))
+
+
+def _planned(algo, problem, w, sched, budget, oracle, x0, record_rounds):
+    """efix_q's and efix_g's run: stage s runs the k(s) rounds of ``inner_count``."""
+    run, consts = _efix_run(algo, problem, w, oracle, x0, record_rounds)
+    # k(0) is sized from the gradient norm at x0, so a planned run classifies x0 first
+    run.fault = _round_fault(run.Z)
     # the right-hand-side norms of two neighboring stages share one bound
     cbar_sum = 2.0 * cbar(problem)
-    eps_prev = None
-    s = 0
-    # k(0) is sized from the gradient norm at x0, so a planned run classifies x0 first
-    fault = None if stopping else _round_fault(Z)
-    if fault:
-        setattr(trace, fault, True)
-    stop = fault is not None
-    while not stop:
-        if budget.outer is not None and s >= budget.outer:
-            break
-        if s > 0 and budget.exhausted(ledger):
-            break
-        theta_s = sched.theta_at(s)
-        eps_s = sched.epsilon_at(s, consts, w.lambda2)
-
-        sub = penalty.assemble_model(problem, Z, w, theta_s)
-        if boundary_sp is not None:
-            ledger.charge_local(boundary_sp)
-        plan = penalty.chebyshev_plan(sub, consts.mu)
-        sweep = penalty.relaxed(sub, plan.q)
-        if eps_prev is None:
-            _, eps_prev = penalty.penalty_gradient(sub, Z)
-        k_s = None if stopping else inner_count(eps_prev, eps_s, theta_s, plan.rate,
-                                                cbar_sum, consts.L, consts.mu,
-                                                solver_constant=2.0 * plan.C)
-        Z_prev = Z
-
-        _emit(trace, ledger, Z, s, theta_s, eps_s, problem, oracle, W_dense)
-
-        k_run = 0
-        while True:
-            if stopping:
-                _, gn = penalty.penalty_gradient(sub, Z)
-                if gn <= eps_s:
-                    break
-            elif k_run >= k_s:
-                break
-            if budget.exhausted(ledger):
-                stop = True
-                break
-            Z, Z_prev = penalty.chebyshev_step(Z, Z_prev, sweep, plan.weight(k_run)), Z
-            ledger.charge_round(sp_round, 1)
-            k_run += 1
-            if record_rounds:
-                _emit(trace, ledger, Z, s, theta_s, eps_s, problem, oracle, W_dense)
-            fault = _round_fault(Z)
-            if fault:
-                setattr(trace, fault, True)
-                stop = True
-                break
-
-        _, gn = penalty.penalty_gradient(sub, Z)
-        trace.outer.append(OuterRecord(
-            s=s, theta=theta_s, epsilon=eps_s, q=plan.q, rho=plan.rate,
-            k_planned=k_s, k_run=k_run, grad_norm=gn,
-            error_max=analysis.max_node_error(Z, oracle)))
-        eps_prev = eps_s
-        s += 1
-    trace.x_final = Z.reshape(-1)
-    return trace
+    for st in _stages(run, consts, sched, budget):
+        if st.s == 0:
+            _, eps_prev = penalty.penalty_gradient(st.sub, run.Z)
+        k_s = inner_count(eps_prev, st.eps, st.theta, st.plan.rate, cbar_sum, consts.L,
+                          consts.mu, solver_constant=2.0 * st.plan.C)
+        _stage(run, budget, st, lambda k, Z: k >= k_s, k_s)
+        eps_prev = st.eps
+    return run.finish()
 
 
 def efix_q(problem, w, sched: Schedule, budget: Budget, oracle=None, x0=None,
@@ -339,8 +351,7 @@ def efix_q(problem, w, sched: Schedule, budget: Budget, oracle=None, x0=None,
     """
     if problem.family != "quadratic":
         raise TypeError("efix_q handles quadratic problems; use efix_g")
-    return _run_efix(problem, w, sched, budget, algo="efix-q",
-                     oracle=oracle, x0=x0, record_rounds=record_rounds)
+    return _planned("efix-q", problem, w, sched, budget, oracle, x0, record_rounds)
 
 
 def efix_g(problem, w, sched: Schedule, budget: Budget, oracle=None, x0=None,
@@ -351,8 +362,7 @@ def efix_g(problem, w, sched: Schedule, budget: Budget, oracle=None, x0=None,
     Hessians at the current iterate.  On a quadratic problem the model is
     the problem itself, so the iterate sequence reproduces efix_q exactly.
     """
-    return _run_efix(problem, w, sched, budget, algo="efix-g", oracle=oracle, x0=x0,
-                     record_rounds=record_rounds)
+    return _planned("efix-g", problem, w, sched, budget, oracle, x0, record_rounds)
 
 
 def efix_q_stopping(problem, w, sched: Schedule, budget: Budget, oracle=None,
@@ -365,9 +375,11 @@ def efix_q_stopping(problem, w, sched: Schedule, budget: Budget, oracle=None,
     """
     if problem.family != "quadratic":
         raise TypeError("efix_q_stopping handles quadratic problems")
-    return _run_efix(problem, w, sched, budget, algo="efix-q-stopping",
-                     stopping=True, oracle=oracle, x0=x0,
-                     record_rounds=record_rounds)
+    run, consts = _efix_run("efix-q-stopping", problem, w, oracle, x0, record_rounds)
+    run.trace.centralized_reference = True
+    for st in _stages(run, consts, sched, budget):
+        _stage(run, budget, st, lambda k, Z: penalty.penalty_gradient(st.sub, Z)[1] <= st.eps)
+    return run.finish()
 
 
 def _diging_update_factory(problem, alpha, variant):
@@ -410,27 +422,21 @@ def diging(problem, w, alpha, budget: Budget, variant=None, oracle=None,
     if budget.outer is not None:
         raise ValueError("DIGing has no outer iterations; budget by rounds or scalar products")
     variant = variant or ("quadratic" if problem.family == "quadratic" else "general")
-    N, n = problem.node_count, problem.dim
-    if w.node_count != N:
-        raise ValueError("network and problem disagree on the node count")
-    oracle = oracle or analysis.solve_reference(problem)
-    W_dense = w.to_dense()
-
-    X = _as_blocks(x0, N, n)
+    run = _Run(problem, w, "diging", oracle, x0, record_rounds,
+               {"alpha": alpha, "variant": variant})
+    X, ledger = run.Z, run.ledger
     G = problem.stacked_gradient(X)
     U = G
-    ledger = simnet.CostLedger(w.degrees())
-    trace = Trace(algo="diging", problem_hash=problems.problem_fingerprint(problem),
-                  node_count=N, dim=n, meta={"alpha": alpha, "variant": variant})
 
     if problem.family == "quadratic":
-        sp_round = 3 * n
+        sp_round = 3 * problem.dim
     else:
-        sp_round = np.array([3 * n + len(J) for J in problem.partition], dtype=np.int64)
+        sp_round = np.array([3 * problem.dim + len(J) for J in problem.partition], dtype=np.int64)
 
     w_self = w.diag[:, None]
-    _emit(trace, ledger, X, 0, None, None, problem, oracle, W_dense)
-    while not budget.exhausted(ledger):
+    _emit(run, X)
+    fault = None
+    while fault is None and not budget.exhausted(ledger):
         X_new = gather(w, X, acc=w_self * X) - alpha * U
         if variant == "quadratic":
             dU = np.matmul(problem.B, (X_new - X)[..., None])[..., 0]
@@ -443,10 +449,7 @@ def diging(problem, w, alpha, budget: Budget, variant=None, oracle=None,
         X = X_new
         ledger.charge_round(sp_round, 2)
         if record_rounds:
-            _emit(trace, ledger, X, 0, None, None, problem, oracle, W_dense)
+            _emit(run, X)
         fault = "numerical_failure" if not np.isfinite(U).all() else _round_fault(X)
-        if fault:
-            setattr(trace, fault, True)
-            break
-    trace.x_final = X.reshape(-1)
-    return trace
+    run.Z, run.fault = X, fault
+    return run.finish()

@@ -248,6 +248,16 @@ class TestRun:
           "algorithm": {"name": "efix-g"}}, "problem T must be an integer, got True"),
         ({"schedule": {"theta0": 50.0, "theta0_multiplier": 3.0}},
          "both theta0 and theta0_multiplier"),
+        ({"budget": {"rounds": 5.5}}, "budget limit rounds must be an integer, got 5.5"),
+        ({"problem": dict(LOGISTIC, mu=True), "network": {"N": 4, "seed": 6},
+          "algorithm": {"name": "efix-g"}}, "mu must be a number, got True"),
+        ({"problem": dict(LOGISTIC, mu="0.01"), "network": {"N": 4, "seed": 6},
+          "algorithm": {"name": "efix-g"}}, "mu must be a number, got '0.01'"),
+        # refused before the file is read
+        ({"problem": {"problem_file": "{tmp}/inst.problem.json", "family": "logistic", "N": 99}},
+         "problem problem_file takes no other field, got ['N', 'family', 'problem_file']"),
+        ({"network": {"network_file": "{tmp}/inst.network.json", "N": 6, "seed": 3}},
+         "network network_file takes no other field, got ['N', 'network_file', 'seed']"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, section, fragment):
         section = json.loads(json.dumps(section).replace("{tmp}", str(tmp_path)))
@@ -385,7 +395,7 @@ class TestRun:
         rows = read_rows(tmp_path / "t.csv")
         assert len(rows) > 2
 
-    def test_problem_file_reload(self, tmp_path):
+    def test_problem_file_reload(self, tmp_path, capsys):
         gen_cfg = write_config(tmp_path / "g.json",
                                problem={"family": "quadratic", "N": 5, "n": 2, "seed": 3},
                                network={"N": 5, "seed": 4},
@@ -398,6 +408,11 @@ class TestRun:
                                budget={"rounds": 5},
                                out=str(tmp_path / "t.csv"))
         assert main(["run", "--config", run_cfg]) == 0
+        # a seed flag would change neither file's instance
+        assert main(["run", "--config", run_cfg, "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            "error: problem problem_file takes no other field, got ['problem_file', 'seed']")
 
 
 class TestCompare:

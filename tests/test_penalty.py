@@ -5,12 +5,18 @@ import pytest
 
 from efix.penalty import (ChebyshevPlan, NonContractiveError, assemble, assemble_model,
                           chebyshev_plan, chebyshev_step,
-                          contraction_estimate, dense_iteration_matrix,
-                          dense_system, jor_step, penalty_gradient,
+                          contraction_estimate, dense_system, jor_step, penalty_gradient,
                           relaxation_bound, relaxed)
 from efix.problems import (LogisticProblem, QuadraticProblem, constants_for,
                            generate_logistic, generate_quadratic)
 from efix.topology import generate_geometric_graph, metropolis_weights
+
+
+def dense_iteration_matrix(sub):
+    """The dense JOR matrix M = q D^{-1} (D - A) + (1 - q) I of a relaxed subproblem."""
+    A, _ = dense_system(sub)
+    dinv = sub.dinv.reshape(-1)
+    return np.eye(A.shape[0]) - sub.q * (dinv[:, None] * A)
 
 
 def two_node_instance(q=1.0):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from efix import solvers
-from efix.penalty import assemble, dense_iteration_matrix, relaxation_bound, relaxed
+from efix.penalty import assemble, relaxation_bound, relaxed
 from efix.problems import generate_logistic, generate_quadratic
 from efix.simnet import (CostLedger, NodeRuntime, apply_updates, collect_payloads,
                          communication_ratio, deliver, gather_state, run_round)
 from efix.solvers import Budget, Schedule, _efix_node_blocks, _efix_update
 from efix.topology import generate_geometric_graph, metropolis_weights
+from test_penalty import dense_iteration_matrix
 
 
 def efix_nodes(N=6, n=4, seed=0, theta=None):

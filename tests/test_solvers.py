@@ -2,6 +2,7 @@ import functools
 import math
 import warnings
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ class TestEfixQ:
         def forbidden(*args, **kwargs):
             raise AssertionError("solvers must not build the dense Nn x Nn operator")
 
-        for name in ("dense_system", "dense_iteration_matrix", "contraction_estimate"):
+        for name in ("dense_system", "contraction_estimate"):
             monkeypatch.setattr(penalty, name, forbidden)
         p, w, consts = random_setup(9)
         pl = generate_logistic(5, 40, 3, seed=9, mu=1e-2)
@@ -201,10 +202,12 @@ class TestEfixQ:
             warnings.simplefilter("error")
             tq = efix_q(p, w, Schedule(theta0=2 * consts.L), Budget(outer=6),
                         record_rounds=False)
+            ts = efix_q_stopping(p, w, Schedule(theta0=2 * consts.L), Budget(outer=6),
+                                 record_rounds=False)
             tg = efix_g(pl, wl, Schedule(theta0=2 * constants_for(pl).L), Budget(outer=4),
                         record_rounds=False)
-        assert len(tq.outer) == 6 and len(tg.outer) == 4
-        assert all(rec.grad_norm <= rec.epsilon for rec in tq.outer + tg.outer)
+        assert len(tq.outer) == len(ts.outer) == 6 and len(tg.outer) == 4
+        assert all(rec.grad_norm <= rec.epsilon for rec in tq.outer + ts.outer + tg.outer)
 
     def test_budget_outer(self):
         p, w, consts = random_setup(1)
@@ -261,7 +264,9 @@ class TestEfixQ:
     def test_budget_rejects_a_non_finite_limit(self, key, value):
         with pytest.raises(ValueError, match=f"budget limit {key} must be finite"):
             Budget(**{key: value})
-        assert Budget(**{key: 10 ** 400}) and Budget(**{key: 2.5})
+        assert Budget(**{key: 10 ** 400}) and Budget(**{key: np.int64(3)})
+        with pytest.raises(ValueError, match=f"budget limit {key} must be an integer, got 2.5"):
+            Budget(**{key: 2.5})
 
     def test_constants_computed_once_per_problem(self, monkeypatch):
         calls = []
@@ -656,6 +661,14 @@ class TestChebyshevRound:
         np.testing.assert_array_equal(new["z_prev"], z0[0])
 
 
+def replay_run(problem, w, oracle, trace):
+    """What ``_emit`` reads of a run, built without the solvers' run set-up."""
+    return SimpleNamespace(problem=problem, oracle=oracle, W_dense=w.to_dense(),
+                           ledger=CostLedger(w.degrees()),
+                           trace=Trace(algo=trace.algo, problem_hash=trace.problem_hash,
+                                       node_count=problem.node_count, dim=problem.dim))
+
+
 def engine_replay_efix(problem, w, trace, oracle, record_rounds=True):
     """An EFIX trace replayed stage by stage on the message engine.
 
@@ -668,9 +681,8 @@ def engine_replay_efix(problem, w, trace, oracle, record_rounds=True):
     N, n = problem.node_count, problem.dim
     consts = constants_for(problem)
     nodes = [NodeRuntime(i, w.neighbor_lists[i], {"z": np.zeros(n)}) for i in range(N)]
-    ledger = CostLedger(w.degrees())
-    ref = Trace(algo=trace.algo, problem_hash=trace.problem_hash, node_count=N, dim=n)
-    W_dense = w.to_dense()
+    run = replay_run(problem, w, oracle, trace)
+    ledger, ref = run.ledger, run.trace
     for rec in trace.outer:
         X = gather_state(nodes, "z").reshape(N, n)
         H, c = zip(*(problem.model_terms(i, X[i]) for i in range(N)))
@@ -682,13 +694,13 @@ def engine_replay_efix(problem, w, trace, oracle, record_rounds=True):
         for i, nd in enumerate(nodes):
             nd.blocks = _efix_node_blocks(sweep, w, i)
             nd.state["z_prev"] = nd.state["z"]
-        _emit(ref, ledger, X, rec.s, rec.theta, rec.epsilon, problem, oracle, W_dense)
+        _emit(run, X, rec.s, rec.theta, rec.epsilon)
         for k in range(rec.k_run):
             update = functools.partial(_efix_cheb_update, omega=plan.weight(k))
             assert run_round(nodes, ("z",), update, ledger, 2 * n + 3, 1)
             if record_rounds:
-                _emit(ref, ledger, gather_state(nodes, "z").reshape(N, n), rec.s,
-                      rec.theta, rec.epsilon, problem, oracle, W_dense)
+                _emit(run, gather_state(nodes, "z").reshape(N, n), rec.s, rec.theta,
+                      rec.epsilon)
         Xs = gather_state(nodes, "z")
         _, gn = penalty_gradient(sub, Xs)
         ref.outer.append(OuterRecord(
@@ -710,19 +722,17 @@ def engine_replay_diging(problem, w, alpha, variant, trace, oracle):
         x0 = np.zeros(n)
         nodes.append(NodeRuntime(i, w.neighbor_lists[i],
                                  {"x": x0, "u": problem.local_gradient(i, x0)}, blocks))
-    ledger = CostLedger(w.degrees())
-    ref = Trace(algo="diging", problem_hash=trace.problem_hash, node_count=N, dim=n)
-    W_dense = w.to_dense()
+    run = replay_run(problem, w, oracle, trace)
+    ledger, ref = run.ledger, run.trace
     if problem.family == "quadratic":
         sp_round = 3 * n
     else:
         sp_round = np.array([3 * n + len(J) for J in problem.partition])
     update = _diging_update_factory(problem, alpha, variant)
-    _emit(ref, ledger, np.zeros((N, n)), 0, None, None, problem, oracle, W_dense)
+    _emit(run, np.zeros((N, n)))
     for _ in range(len(trace.records) - 1):
         assert run_round(nodes, ("x", "u"), update, ledger, sp_round, 2)
-        _emit(ref, ledger, gather_state(nodes, "x").reshape(N, n), 0, None, None,
-              problem, oracle, W_dense)
+        _emit(run, gather_state(nodes, "x").reshape(N, n))
     ref.x_final = gather_state(nodes, "x")
     return ref
 
@@ -756,20 +766,26 @@ class TestStackedRoundsEqualTheEngine:
     def test_efix_q_stopping(self):
         p, w, consts = random_setup(23, N=20, n=4)
         oracle = oracle_quadratic(p)
-        tr = efix_q_stopping(p, w, Schedule(theta0=2 * consts.L), Budget(rounds=300),
-                             oracle=oracle)
-        # the budget ends the last stage; every earlier one ends on the test
-        assert all(rec.grad_norm <= rec.epsilon for rec in tr.outer[:-1])
-        assert tr.outer[-1].grad_norm > tr.outer[-1].epsilon
-        self.assert_same(tr, engine_replay_efix(p, w, tr, oracle))
+        for record_rounds in (True, False):
+            tr = efix_q_stopping(p, w, Schedule(theta0=2 * consts.L), Budget(rounds=300),
+                                 oracle=oracle, record_rounds=record_rounds)
+            # the budget ends the last stage; every earlier one ends on the test
+            assert all(rec.grad_norm <= rec.epsilon for rec in tr.outer[:-1])
+            assert tr.outer[-1].grad_norm > tr.outer[-1].epsilon
+            self.assert_same(tr, engine_replay_efix(p, w, tr, oracle, record_rounds))
 
     def test_efix_g_logistic(self):
         p = generate_logistic(6, 48, 3, seed=24, mu=1e-2)
         w = metropolis_weights(generate_geometric_graph(6, 25))
         oracle = oracle_logistic(p)
-        tr = efix_g(p, w, Schedule(theta0=2 * constants_for(p).L, q_mode="per_stage"),
-                    Budget(outer=3), oracle=oracle)
-        self.assert_same(tr, engine_replay_efix(p, w, tr, oracle))
+        for budget in (Budget(outer=3), Budget(scalar_products=1000)):
+            tr = efix_g(p, w, Schedule(theta0=2 * constants_for(p).L, q_mode="per_stage"),
+                        budget, oracle=oracle)
+            if budget.scalar_products:
+                # the cap ends a later stage mid-way, after its re-linearization charge
+                last = tr.outer[-1]
+                assert len(tr.outer) >= 2 and 0 < last.k_run < last.k_planned
+            self.assert_same(tr, engine_replay_efix(p, w, tr, oracle))
 
     def test_diging(self):
         p, w, consts = random_setup(26, N=12, n=4)
