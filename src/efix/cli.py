@@ -32,7 +32,7 @@ _FIELDS = {
     "problem": ("family", "N", "n", "T", "seed", "mu", "spectrum", "path", "problem_file"),
     "network": ("N", "seed", "network_file"),
     "algorithm": ("name", "m"),
-    "schedule": ("theta0", "theta0_multiplier", "theta_rule", "eps_rule", "eps0"),
+    "schedule": ("theta0_multiplier", "theta_rule"),
     "budget": ("rounds", "outer", "scalar_products"),
 }
 # the fields that must be integers, in whichever section gives them
@@ -79,6 +79,8 @@ def load_config(path, overrides):
             # type(...) is int: JSON's true and false are not integers here
             if key in _INTEGER_FIELDS and type(spec[key]) is not int:
                 raise ValueError(f"{section} {key} must be an integer, got {spec[key]!r}")
+    if not isinstance(cfg.get("out", ""), str):
+        raise ValueError(f"config out must be a string, got {cfg['out']!r}")
     if overrides.get("out") is not None:
         cfg["out"] = overrides["out"]
     for flag, section, key in (("algo", "algorithm", "name"), ("m", "algorithm", "m"),
@@ -116,9 +118,11 @@ def resolve_problem(cfg):
         if family == "quadratic":
             kwargs = {}
             if "spectrum" in spec:
-                kwargs["spectrum"] = tuple(spec["spectrum"])
-                if len(kwargs["spectrum"]) != 2 or not all(map(_is_number, kwargs["spectrum"])):
-                    raise ValueError(f"problem spectrum must be [low, high], got {spec['spectrum']}")
+                spectrum = spec["spectrum"]
+                if not (isinstance(spectrum, list) and len(spectrum) == 2
+                        and all(map(_is_number, spectrum))):
+                    raise ValueError(f"problem spectrum must be [low, high], got {spectrum}")
+                kwargs["spectrum"] = tuple(spectrum)
             return problems.generate_quadratic(spec["N"], spec["n"], spec["seed"], **kwargs)
         if family == "logistic":
             mu = float(_number(spec, "mu", 1e-4))
@@ -133,16 +137,8 @@ def resolve_problem(cfg):
 
 def resolve_schedule(cfg, consts):
     spec = cfg.get("schedule", {})
-    if "theta0" in spec and "theta0_multiplier" in spec:
-        raise ValueError("schedule gives both theta0 and theta0_multiplier; give one")
-    if "theta0" in spec:
-        theta0 = float(_number(spec, "theta0"))
-    else:
-        theta0 = float(_number(spec, "theta0_multiplier", 2.0)) * consts.L
-    return solvers.Schedule(theta0=theta0,
-                            theta_rule=spec.get("theta_rule", "factorial"),
-                            eps_rule=spec.get("eps_rule", "balance"),
-                            eps0=None if spec.get("eps0") is None else _number(spec, "eps0"))
+    return solvers.Schedule(theta0=float(_number(spec, "theta0_multiplier", 2.0)) * consts.L,
+                            theta_rule=spec.get("theta_rule", "factorial"))
 
 
 def resolve_budget(cfg):

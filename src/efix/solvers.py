@@ -31,28 +31,26 @@ DIVERGENCE_CEILING = 1e12
 
 @dataclass(frozen=True)
 class Schedule:
-    """Rules producing theta_s and eps_s for the outer loop.
+    """The rule producing theta_s for the outer loop, from a finite theta0 > 0.
 
     theta_rule "factorial" grows theta_{s+1} = (s+1) theta_s; "linear"
     uses theta_s = (s+1) theta0 (with theta0 = 1 the stage penalties are
-    1, 2, 3, ...).  eps_rule "balance" matches the inner tolerance to the
-    penalty approximation error; "reciprocal" uses eps0 / s with eps0
-    defaulting to theta0.  ``q_mode`` is accepted and ignored, for callers
-    that still pass it: each stage's Chebyshev rounds sweep at their own
-    relaxation q = 2 / (a + b), so no schedule value sets q.
+    1, 2, 3, ...).  Each stage's tolerance eps_s is always
+    ``epsilon_balance(theta_s, ...)``, which matches the inner tolerance to
+    the penalty approximation error.  ``q_mode`` is accepted and ignored,
+    for callers that still pass it: each stage's Chebyshev rounds sweep at
+    their own relaxation q = 2 / (a + b), so no schedule value sets q.
     """
 
     theta0: float
     theta_rule: str = "factorial"
-    eps_rule: str = "balance"
-    eps0: float | None = None
     q_mode: str = "fixed"
 
     def __post_init__(self):
+        if not (math.isfinite(self.theta0) and self.theta0 > 0):
+            raise ValueError(f"theta0 must be finite and positive, got {self.theta0}")
         if self.theta_rule not in ("factorial", "linear"):
             raise ValueError(f"unknown theta rule {self.theta_rule!r}")
-        if self.eps_rule not in ("balance", "reciprocal"):
-            raise ValueError(f"unknown eps rule {self.eps_rule!r}")
 
     def theta_at(self, s):
         if self.theta_rule == "factorial":
@@ -62,12 +60,6 @@ class Schedule:
         if not math.isfinite(th):
             raise OverflowError(f"theta overflowed at stage {s}")
         return th
-
-    def epsilon_at(self, s, consts, lambda2):
-        if self.eps_rule == "balance":
-            return epsilon_balance(self.theta_at(s), consts, lambda2)
-        eps0 = self.theta0 if self.eps0 is None else self.eps0
-        return eps0 if s == 0 else eps0 / s
 
 
 @dataclass(frozen=True)
@@ -291,7 +283,7 @@ def _stages(run, consts, sched, budget):
         sub = penalty.assemble_model(run.problem, run.Z, run.w, theta_s)
         if boundary_sp is not None:
             run.ledger.charge_local(boundary_sp)
-        yield _StageSetup(s, theta_s, sched.epsilon_at(s, consts, run.w.lambda2), sub,
+        yield _StageSetup(s, theta_s, epsilon_balance(theta_s, consts, run.w.lambda2), sub,
                           penalty.chebyshev_plan(sub, consts.mu))
         s += 1
 

@@ -185,7 +185,7 @@ class TestRun:
         ({"q_safety": 5}, "unknown schedule field 'q_safety'"),
         ({"q_mod": "fixed"}, "unknown schedule field 'q_mod'"),
         ({"theta_rule": "geometric"}, "unknown theta rule 'geometric'"),
-        ({"eps_rule": "nope"}, "unknown eps rule 'nope'"),
+        ({"eps_rule": "balance"}, "unknown schedule field 'eps_rule'"),
     ])
     def test_bad_schedule_is_config_error(self, tmp_path, capsys, schedule, message):
         cfg = base_config(tmp_path, schedule=schedule)
@@ -195,7 +195,7 @@ class TestRun:
         assert not (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("section, fragment", [
-        ({"schedule": {"theta0": 1e-9}}, "kappa/2"),
+        ({"schedule": {"theta0_multiplier": 1e-9}}, "kappa/2"),
         ({"problem": LOGISTIC, "network": {"N": 4, "seed": 6}}, "efix_g"),
         ({"problem": {"family": "logistic", "path": "{tmp}/absent.svm", "N": 6, "seed": 1}},
          "{tmp}/absent.svm"),
@@ -208,8 +208,8 @@ class TestRun:
         ({"algorithm": {"name": "diging"}, "budget": {"outer": 2}}, "outer"),
         ({"problem": {"family": "quadratic", "N": 1, "n": 3, "seed": 2},
           "network": {"N": 1, "seed": 11}}, "two nodes"),
-        ({"schedule": {"eps0": "abc"}}, "eps0"),
-        ({"schedule": {"theta0": None}}, "theta0"),
+        ({"schedule": {"eps0": "abc"}}, "unknown schedule field 'eps0'"),
+        ({"schedule": {"theta0_multiplier": None}}, "theta0"),
         ({"problem": dict(LOGISTIC, T=3), "network": {"N": 4, "seed": 6},
           "algorithm": {"name": "efix-g"}}, "cannot split"),
         ({"problem": dict(LOGISTIC, mu=-1), "network": {"N": 4, "seed": 6},
@@ -247,7 +247,7 @@ class TestRun:
         ({"problem": dict(LOGISTIC, T=True), "network": {"N": 4, "seed": 6},
           "algorithm": {"name": "efix-g"}}, "problem T must be an integer, got True"),
         ({"schedule": {"theta0": 50.0, "theta0_multiplier": 3.0}},
-         "both theta0 and theta0_multiplier"),
+         "unknown schedule field 'theta0'"),
         ({"budget": {"rounds": 5.5}}, "budget limit rounds must be an integer, got 5.5"),
         ({"problem": dict(LOGISTIC, mu=True), "network": {"N": 4, "seed": 6},
           "algorithm": {"name": "efix-g"}}, "mu must be a number, got True"),
@@ -258,6 +258,13 @@ class TestRun:
          "problem problem_file takes no other field, got ['N', 'family', 'problem_file']"),
         ({"network": {"network_file": "{tmp}/inst.network.json", "N": 6, "seed": 3}},
          "network network_file takes no other field, got ['N', 'network_file', 'seed']"),
+        ({"schedule": {"theta0_multiplier": float("nan")}},
+         "theta0 must be finite and positive, got nan"),
+        ({"schedule": {"theta0_multiplier": float("inf")}},
+         "theta0 must be finite and positive, got inf"),
+        ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "spectrum": 5}},
+         "problem spectrum must be [low, high], got 5"),
+        ({"out": 5}, "config out must be a string, got 5"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, section, fragment):
         section = json.loads(json.dumps(section).replace("{tmp}", str(tmp_path)))

@@ -12,7 +12,7 @@ from efix.analysis import max_node_error, oracle_logistic, oracle_quadratic
 from efix.penalty import (assemble, assemble_model, chebyshev_plan, chebyshev_step,
                           penalty_gradient, relaxation_bound, relaxed)
 from efix.problems import (QuadraticProblem, constants_for, generate_logistic,
-                           generate_quadratic, quadratic_constants)
+                           generate_quadratic)
 from efix.simnet import (CostLedger, NodeRuntime, apply_updates, collect_payloads,
                          deliver, gather_state, run_round)
 from efix import solvers
@@ -44,16 +44,24 @@ class TestSchedule:
         s = Schedule(theta0=1.0, theta_rule="linear")
         assert [s.theta_at(k) for k in range(4)] == [1.0, 2.0, 3.0, 4.0]
 
-    def test_reciprocal_eps(self):
-        s = Schedule(theta0=4.0, eps_rule="reciprocal")
-        consts = quadratic_constants(generate_quadratic(2, 2, 0))
-        assert s.epsilon_at(0, consts, 0.5) == 4.0
-        assert s.epsilon_at(1, consts, 0.5) == 4.0
-        assert s.epsilon_at(4, consts, 0.5) == 1.0
-
     def test_unknown_rules(self):
         with pytest.raises(ValueError):
             Schedule(theta0=1.0, theta_rule="geometric").theta_at(0)
+
+    @pytest.mark.parametrize("theta0", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_theta0_must_be_finite_and_positive(self, theta0):
+        with pytest.raises(ValueError, match=f"theta0 must be finite and positive, got {theta0}"):
+            Schedule(theta0=theta0)
+
+    def test_stage_epsilon_is_the_balanced_tolerance(self):
+        p, w, consts = random_setup(3)
+        for rule in ("factorial", "linear"):
+            sched = Schedule(theta0=2 * consts.L, theta_rule=rule)
+            tr = efix_q(p, w, sched, Budget(outer=4))
+            assert [rec.s for rec in tr.outer] == [0, 1, 2, 3]
+            for rec in tr.outer:
+                assert rec.theta == sched.theta_at(rec.s)
+                assert rec.epsilon == epsilon_balance(sched.theta_at(rec.s), consts, w.lambda2)
 
 
 class TestEpsilonBalance:
