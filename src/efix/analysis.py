@@ -92,29 +92,28 @@ def solve_reference(problem) -> OracleSolution:
     return oracle_logistic(problem)
 
 
-def _node_distances(x, oracle: OracleSolution):
-    """||x_i - y*|| per node, by the steps ``np.linalg.norm(..., axis=1)`` takes."""
-    D = np.asarray(x, dtype=float).reshape(-1, oracle.y_star.size) - oracle.y_star
+def _node_distances(X, oracle: OracleSolution):
+    """||X_i - y*|| per node block, by the steps ``np.linalg.norm(..., axis=1)`` takes."""
+    D = X - oracle.y_star
     return np.sqrt(np.add.reduce(D * D, axis=1))
 
 
-def error_e(x, oracle: OracleSolution) -> float:
-    """Average per-node relative distance to the oracle solution."""
+def error_e(X, oracle: OracleSolution) -> float:
+    """Average relative distance of the (N, n) node blocks X to the oracle solution."""
     ynorm = oracle.y_norm
     if ynorm == 0:
         raise ValueError("oracle solution is zero; relative error undefined")
-    return float(np.mean(_node_distances(x, oracle)) / ynorm)
+    return float(np.mean(_node_distances(X, oracle)) / ynorm)
 
 
-def error_v(x, problem) -> float:
-    """Average global objective across the nodes' estimates.
+def error_v(X, problem) -> float:
+    """Average global objective across the nodes' estimates, the rows of X.
 
     Vectorized over nodes (an N x N sweep otherwise dominates per-round
     trace collection); agrees with averaging ``global_objective`` directly.
     A quadratic objective is evaluated in its expanded form, O(n^2) per
     node instead of O(N n^2).
     """
-    X = np.asarray(x, dtype=float).reshape(problem.node_count, -1)
     if problem.family == "quadratic":
         H, r, f0 = problem.expanded_objective
         vals = 0.5 * ((X @ H) * X).sum(axis=1) - X @ r + f0
@@ -136,8 +135,8 @@ def error_v(x, problem) -> float:
     return float(np.mean(vals))
 
 
-def max_node_error(x, oracle: OracleSolution) -> float:
-    return float(np.max(_node_distances(x, oracle)))
+def max_node_error(X, oracle: OracleSolution) -> float:
+    return float(np.max(_node_distances(X, oracle)))
 
 
 def loglog_slope(thetas, errors) -> float:
@@ -154,7 +153,7 @@ def slope_fit(trace, s_range) -> float:
     """
     lo, hi = s_range
     pts = [(rec.theta, rec.error_max) for rec in trace.outer
-           if lo <= rec.s <= hi and rec.error_max is not None and rec.error_max > 0]
+           if lo <= rec.s <= hi and rec.error_max > 0]
     if len(pts) < 5:
         raise ValueError(f"only {len(pts)} usable stages in s range {s_range}; need at least 5")
     return loglog_slope([t for t, _ in pts], [e for _, e in pts])
@@ -163,7 +162,7 @@ def slope_fit(trace, s_range) -> float:
 def first_hit(trace, tol):
     """theta of the first outer stage whose max-node error is <= tol, or None."""
     for rec in trace.outer:
-        if rec.error_max is not None and rec.error_max <= tol:
+        if rec.error_max <= tol:
             return rec.theta
     return None
 

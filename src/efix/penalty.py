@@ -91,13 +91,12 @@ def relaxed(sub: PenaltySubproblem, q) -> PenaltySubproblem:
     return replace(sub, q=float(q), M_self=M_self, p=q * sub.c / sub.d)
 
 
-def assemble_model(problem, x_prev, w: MixingMatrix, theta) -> PenaltySubproblem:
-    """Subproblem of the quadratic model built at the stacked point x_prev.
+def assemble_model(problem, X, w: MixingMatrix, theta) -> PenaltySubproblem:
+    """Subproblem of the quadratic model built at the (N, n) node blocks X.
 
-    H_i = local Hessian at x_prev_i and c_i = H_i x_prev_i - grad f_i(x_prev_i),
-    all from ``problem.stacked_model``; a quadratic's model is its cost.
+    H_i = local Hessian at X_i and c_i = H_i X_i - grad f_i(X_i), all from
+    ``problem.stacked_model``; a quadratic's model is its cost.
     """
-    X = np.asarray(x_prev, dtype=float).reshape(problem.node_count, -1)
     return assemble(*problem.stacked_model(X), w, theta)
 
 
@@ -131,17 +130,12 @@ def jor_local_update(M_self, p, dinv, qtheta, neighbor_ids, neighbor_weights,
     return acc
 
 
-def jor_step(z, sub: PenaltySubproblem):
-    """One synchronous JOR sweep M z + p over the stacked vector z.
+def jor_step(Z, sub: PenaltySubproblem):
+    """One synchronous JOR sweep M z + p over the (N, n) node blocks Z.
 
     Each node's terms are added in the order ``jor_local_update`` adds
     them, so row i equals that node update bit for bit.
     """
-    z = np.asarray(z, dtype=float)
-    N, n = sub.node_count, sub.dim
-    if z.size != N * n:
-        raise ValueError(f"vector of size {z.size}, expected {N * n}")
-    Z = z.reshape(N, n)
     wsum = gather(sub.w, Z)
     # acc + (q theta) (dinv wsum), in place on the two fresh buffers
     acc = np.matmul(sub.M_self, Z[..., None])[..., 0]
@@ -149,18 +143,14 @@ def jor_step(z, sub: PenaltySubproblem):
     wsum *= sub.dinv
     wsum *= sub.q * sub.theta
     acc += wsum
-    return acc.reshape(z.shape)
+    return acc
 
 
-def penalty_gradient(sub: PenaltySubproblem, z):
-    """A z - c and its norm: the gradient of the penalty (or model) objective."""
-    z = np.asarray(z, dtype=float)
-    N, n = sub.node_count, sub.dim
-    Z = z.reshape(N, n)
+def penalty_gradient(sub: PenaltySubproblem, Z):
+    """(N, n) blocks of A z - c and its norm: the gradient of the penalty (or model) objective."""
     acc = np.matmul(sub.A_self, Z[..., None])[..., 0]
-    g = gather(sub.w, Z, weights=sub.coupling_weights, acc=acc) - sub.c
-    g = g.reshape(z.shape)
-    return g, float(np.linalg.norm(g))
+    G = gather(sub.w, Z, weights=sub.coupling_weights, acc=acc) - sub.c
+    return G, float(np.linalg.norm(G))
 
 
 def dense_system(sub: PenaltySubproblem):
@@ -257,7 +247,9 @@ def chebyshev_plan(sub: PenaltySubproblem, mu) -> ChebyshevPlan:
     if mu <= 0:
         raise ValueError("need a positive strong-convexity constant mu")
     d_max = float(sub.d.max())
-    rows = np.abs(sub.A_self).sum(axis=2) + sub.theta * sub.w.off_abs_sums[:, None]
+    # a theta near the float limit overflows b to inf, which the rate check refuses
+    with np.errstate(over="ignore"):
+        rows = np.abs(sub.A_self).sum(axis=2) + sub.theta * sub.w.off_abs_sums[:, None]
     b = float(np.max(rows / sub.d))
     # the theta shift sits only on the diagonal of A_ii
     H = sub.A_self - (sub.theta * (1.0 - sub.w.diag))[:, None, None] * np.eye(sub.dim)
@@ -268,8 +260,12 @@ def chebyshev_plan(sub: PenaltySubproblem, mu) -> ChebyshevPlan:
     # det / lambda_max: (h_bar + g)/2 - sqrt(...) would cancel at large theta
     lam_max = 0.5 * (h_bar + g) + math.hypot(0.5 * (h_bar - g), eta)
     lam = (h_bar * g - eta * eta) / lam_max
-    return ChebyshevPlan(a=min(max(lam, mu) / d_max, b), b=b,
+    plan = ChebyshevPlan(a=min(max(lam, mu) / d_max, b), b=b,
                          C=math.sqrt(d_max / float(sub.d.min())))
+    if not plan.rate < 1.0:
+        raise ValueError(f"penalty stage at theta={sub.theta:.6g} has no certified "
+                         f"contraction rate below 1 (rate {plan.rate})")
+    return plan
 
 
 def chebyshev_combine(omega, y, z_prev):
@@ -277,14 +273,13 @@ def chebyshev_combine(omega, y, z_prev):
     return omega * (y - z_prev) + z_prev
 
 
-def chebyshev_step(z, z_prev, sweep: PenaltySubproblem, omega):
-    """One stacked Chebyshev round; ``sweep`` is relaxed to the plan's q.
+def chebyshev_step(Z, Z_prev, sweep: PenaltySubproblem, omega):
+    """One Chebyshev round over (N, n) node blocks; ``sweep`` is relaxed to the plan's q.
 
     ``chebyshev_combine``'s operations, in place on the sweep's fresh result.
     """
-    z_prev = np.asarray(z_prev, dtype=float)
-    y = jor_step(z, sweep)
-    y -= z_prev
-    y *= omega
-    y += z_prev
-    return y
+    Y = jor_step(Z, sweep)
+    Y -= Z_prev
+    Y *= omega
+    Y += Z_prev
+    return Y

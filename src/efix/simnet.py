@@ -106,12 +106,12 @@ def run_round(nodes, payload_keys, update_fn, ledger, sp_per_node,
 
 
 def gather_state(nodes, key="x"):
-    """Stacked read-only view of all node vectors, in node order.
+    """Copy of all node vectors as (N, n) blocks, row i from node i.
 
     Harness-side access for metrics and oracles only; never fed back to
     the nodes.
     """
-    return np.concatenate([np.array(nd.state[key], copy=True) for nd in nodes])
+    return np.stack([nd.state[key] for nd in nodes])
 
 
 def communication_ratio(trace_a, trace_b):

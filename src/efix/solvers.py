@@ -130,7 +130,7 @@ class Trace:
     numerical_failure: bool = False
     centralized_reference: bool = False
     meta: dict = field(default_factory=dict)
-    x_final: np.ndarray | None = None
+    x_final: np.ndarray | None = None   # (N, n)
 
 
 def epsilon_balance(theta, consts, lambda2):
@@ -196,8 +196,7 @@ def _round_fault(Z):
 
 
 def _emit(run, X, s=0, theta=None, eps=None):
-    """Append iterate X's trace row at the run's costs; DIGing's rows keep the defaults."""
-    X = np.asarray(X)
+    """Append (N, n) iterate X's trace row at the run's costs; DIGing's rows keep the defaults."""
     residual = float(np.linalg.norm(X - run.W_dense @ X))
     run.trace.records.append(analysis.TraceRecord(
         round=run.ledger.rounds, outer_s=s, theta=theta, epsilon=eps,
@@ -238,8 +237,8 @@ _StageSetup = namedtuple("_StageSetup", "s theta eps sub plan")
 class _Run:
     """The set-up and bookkeeping that all four solvers share.
 
-    ``Z`` is the (N, n) iterate, from ``x0`` or else zeros, and ``fault``
-    the ``_round_fault`` that stops the run; ``finish`` flags it on the trace.
+    ``Z`` is the (N, n) iterate, from ``x0`` of that shape or else zeros, and ``fault``
+    the ``_round_fault`` that stops the run; ``finish`` flags it and sets ``x_final``.
     """
 
     def __init__(self, problem, w, algo, oracle, x0, record_rounds, meta):
@@ -249,7 +248,9 @@ class _Run:
         self.problem, self.w, self.record_rounds = problem, w, record_rounds
         self.oracle = oracle or analysis.solve_reference(problem)
         self.W_dense = w.to_dense()
-        self.Z = np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float).reshape(N, n)
+        self.Z = np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float)
+        if self.Z.shape != (N, n):
+            raise ValueError(f"x0 must be ({N}, {n}) node blocks, got shape {self.Z.shape}")
         self.ledger = simnet.CostLedger(w.degrees())
         self.trace = Trace(algo=algo, problem_hash=problems.problem_fingerprint(problem),
                            node_count=N, dim=n, meta=meta)
@@ -258,7 +259,7 @@ class _Run:
     def finish(self):
         if self.fault:
             setattr(self.trace, self.fault, True)
-        self.trace.x_final = self.Z.reshape(-1)
+        self.trace.x_final = self.Z
         return self.trace
 
 

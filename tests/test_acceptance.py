@@ -49,7 +49,7 @@ class TestCriterion1JorCorrectness:
             sub, _ = random_subproblem(seed)
             rho = contraction_estimate(sub)
             A, c = dense_system(sub)
-            x_star = np.linalg.solve(A, c)
+            x_star = np.linalg.solve(A, c).reshape(sub.node_count, sub.dim)
             scale = np.linalg.norm(x_star)
             z = np.zeros_like(x_star)
             cap = int(abs(math.log(1e-9) / math.log(rho))) + 200
@@ -68,7 +68,7 @@ class TestCriterion1JorCorrectness:
         bad_q = 1.5 * (2.0 / spec_rad)
         sub_bad = relaxed(sub, bad_q)
         Ab, cb = dense_system(sub_bad)
-        x_star = np.linalg.solve(Ab, cb)
+        x_star = np.linalg.solve(Ab, cb).reshape(sub.node_count, sub.dim)
         z = x_star + 1e-6 * np.ones_like(x_star)
         d0 = np.linalg.norm(z - x_star)
         for _ in range(60):
@@ -120,7 +120,7 @@ class TestCriterion3InnerCountSufficiency:
                     A = Bblk + last.theta * np.kron(np.eye(N) - w.to_dense(),
                                                     np.eye(n))
                     c = np.concatenate([p.B[i] @ p.b[i] for i in range(N)])
-                    dense_norm = np.linalg.norm(A @ tr.x_final - c)
+                    dense_norm = np.linalg.norm(A @ tr.x_final.reshape(-1) - c)
                     if dense_norm > last.epsilon:
                         violations += 1
                     instances += 1

@@ -72,28 +72,28 @@ class TestErrorMetrics:
 
     def test_exact_consensus_is_zero(self):
         o = self.oracle()
-        x = np.tile(o.y_star, 4)
-        assert error_e(x, o) == 0.0
+        X = np.tile(o.y_star, (4, 1))
+        assert error_e(X, o) == 0.0
 
     def test_one_node_off_gives_one_over_N(self):
         o = self.oracle()
         X = np.tile(o.y_star, (5, 1))
         X[2] = 2 * o.y_star
-        assert error_e(X.reshape(-1), o) == pytest.approx(1 / 5, rel=1e-15)
+        assert error_e(X, o) == pytest.approx(1 / 5, rel=1e-15)
 
     def test_origin_gives_one(self):
         o = self.oracle()
-        assert error_e(np.zeros(8), o) == pytest.approx(1.0, rel=1e-15)
+        assert error_e(np.zeros((4, 2)), o) == pytest.approx(1.0, rel=1e-15)
 
     def test_zero_solution_rejected(self):
         o = OracleSolution(np.zeros(2), 0.0, "direct-solve")
         with pytest.raises(ValueError):
-            error_e(np.ones(4), o)
+            error_e(np.ones((2, 2)), o)
 
     def test_error_v_constant_average(self):
         p = generate_quadratic(4, 3, seed=5)
         y = np.random.default_rng(0).standard_normal(3)
-        v = error_v(np.tile(y, 4), p)
+        v = error_v(np.tile(y, (4, 1)), p)
         assert v == pytest.approx(p.global_objective(y), rel=1e-12)
 
     def test_error_v_matches_naive_average(self):
@@ -101,19 +101,19 @@ class TestErrorMetrics:
                         generate_logistic(5, 40, 3, seed=6, mu=1e-2)):
             X = np.random.default_rng(1).standard_normal((5, 3))
             naive = np.mean([problem.global_objective(X[i]) for i in range(5)])
-            assert error_v(X.reshape(-1), problem) == pytest.approx(naive, rel=1e-12)
+            assert error_v(X, problem) == pytest.approx(naive, rel=1e-12)
 
     def test_quadratic_closed_form_at_scale_and_at_the_optimum(self):
         p = generate_quadratic(100, 10, seed=10)
         X = np.random.default_rng(4).standard_normal((100, 10)) * 10.0
         naive = np.mean([p.global_objective(X[i]) for i in range(100)])
-        assert error_v(X.reshape(-1), p) == pytest.approx(naive, rel=1e-12)
+        assert error_v(X, p) == pytest.approx(naive, rel=1e-12)
         o = oracle_quadratic(p)
-        assert error_v(np.tile(o.y_star, 100), p) == pytest.approx(o.f_star, rel=1e-12)
+        assert error_v(np.tile(o.y_star, (100, 1)), p) == pytest.approx(o.f_star, rel=1e-12)
 
     def test_logistic_value_at_origin(self):
         p = generate_logistic(4, 24, 3, seed=7, mu=1e-2)
-        assert error_v(np.zeros(12), p) == pytest.approx(24 * math.log(2), rel=1e-12)
+        assert error_v(np.zeros((4, 3)), p) == pytest.approx(24 * math.log(2), rel=1e-12)
 
     def test_logistic_error_v_is_the_mean_objective(self):
         p = generate_logistic(10, 203, 5, seed=12, mu=1e-2)
@@ -121,17 +121,17 @@ class TestErrorMetrics:
         for scale in (0.01, 1.0, 30.0):
             X = rng.standard_normal((10, 5)) * scale
             naive = np.mean([p.global_objective(X[i]) for i in range(10)])
-            assert error_v(X.reshape(-1), p) == pytest.approx(naive, rel=1e-14)
+            assert error_v(X, p) == pytest.approx(naive, rel=1e-14)
 
     def test_logistic_error_v_linear_tail(self):
         # margins of +-1e3 and 2e3: exp(-|t|) underflows to 0, so each loss
         # term is exactly max(-t, 0) and the value is exact
         p = LogisticProblem(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]),
                             [[0], [1]], mu=0.5)
-        X = np.array([1e3, -1e3])
+        X = np.array([[1e3], [-1e3]])
         # node 0: losses 0 + 2000; node 1: 1000 + 0; regularizer 2 * 0.25 * 1e6 each
         assert error_v(X, p) == 501500.0
-        assert error_v(X, p) == np.mean([p.global_objective(X[i:i + 1]) for i in range(2)])
+        assert error_v(X, p) == np.mean([p.global_objective(X[i]) for i in range(2)])
 
     def test_logistic_error_v_equals_the_label_multiply(self):
         # the signed features fold the +-1 labels into the matmul exactly:
@@ -155,7 +155,7 @@ class TestErrorMetrics:
         p = generate_logistic(4, 40, 3, seed=8, mu=1e-2)
         o = oracle_logistic(p)
         X = np.random.default_rng(2).standard_normal((4, 3))
-        assert error_v(X.reshape(-1), p) >= o.f_star
+        assert error_v(X, p) >= o.f_star
 
     def test_node_relabeling_invariance(self):
         p = generate_quadratic(5, 3, seed=9)
@@ -163,10 +163,10 @@ class TestErrorMetrics:
         X = np.random.default_rng(3).standard_normal((5, 3))
         perm = np.array([3, 0, 4, 1, 2])
         p2 = QuadraticProblem(p.B[perm], p.b[perm])
-        assert error_e(X.reshape(-1), o) == pytest.approx(
-            error_e(X[perm].reshape(-1), oracle_quadratic(p2)), rel=1e-12)
-        assert error_v(X.reshape(-1), p) == pytest.approx(
-            error_v(X[perm].reshape(-1), p2), rel=1e-12)
+        assert error_e(X, o) == pytest.approx(
+            error_e(X[perm], oracle_quadratic(p2)), rel=1e-12)
+        assert error_v(X, p) == pytest.approx(
+            error_v(X[perm], p2), rel=1e-12)
 
 
 class TestSlopeFit:
@@ -205,7 +205,7 @@ class TestHittingHelpers:
     def test_max_node_error(self):
         o = OracleSolution(np.array([1.0, 0.0]), 0.0, "direct-solve")
         X = np.array([[1.0, 0.0], [3.0, 0.0]])
-        assert max_node_error(X.reshape(-1), o) == 2.0
+        assert max_node_error(X, o) == 2.0
 
 
 class TestStackedOracle:

@@ -265,6 +265,13 @@ class TestRun:
         ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "spectrum": 5}},
          "problem spectrum must be [low, high], got 5"),
         ({"out": 5}, "config out must be a string, got 5"),
+        # a theta0 near the float limit leaves no contraction rate below 1
+        *[({"schedule": {"theta0_multiplier": mult}, "algorithm": {"name": algo}},
+           f"penalty stage at theta={theta} has no certified contraction rate below 1 "
+           f"(rate {rate})")
+          for mult, theta, rate in ((1e300, "9.83679e+301", "1.0"),
+                                    (1e306, "9.83679e+307", "nan"))
+          for algo in ("efix-q", "efix-g", "efix-q-stopping")],
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, section, fragment):
         section = json.loads(json.dumps(section).replace("{tmp}", str(tmp_path)))

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -74,7 +75,7 @@ class TestAssembly:
         p = LogisticProblem(X, np.array([1.0, -1.0]),
                             [np.array([0, 1]), np.array([], dtype=int)], 0.25)
         w = metropolis_weights(((1,), (0,)))
-        sub = assemble_model(p, np.zeros(4), w, theta=2.0)
+        sub = assemble_model(p, np.zeros((2, 2)), w, theta=2.0)
         # empty node: A_ii = mu I + theta (1 - w_ii) I
         np.testing.assert_allclose(sub.A_self[1], (0.25 + 2.0) * np.eye(2), atol=1e-15)
 
@@ -84,12 +85,12 @@ class TestAssembly:
         g = generate_geometric_graph(4, 5)
         w = metropolis_weights(g)
         x = np.random.default_rng(1).standard_normal(12)
-        sub = assemble_model(p, x, w, theta=3.0)
-        gvec, _ = penalty_gradient(sub, x)
         X = x.reshape(4, 3)
+        sub = assemble_model(p, X, w, theta=3.0)
+        G, _ = penalty_gradient(sub, X)
         grads = np.concatenate([p.local_gradient(i, X[i]) for i in range(4)])
         Lap = np.kron(np.eye(4) - w.to_dense(), np.eye(3))
-        np.testing.assert_allclose(gvec, grads + 3.0 * (Lap @ x), atol=1e-10)
+        np.testing.assert_allclose(G.reshape(-1), grads + 3.0 * (Lap @ x), atol=1e-10)
 
     def test_nonpositive_diagonal_rejected(self):
         w = metropolis_weights(((1,), (0,)))
@@ -147,20 +148,20 @@ class TestRelaxationBound:
 class TestJorStep:
     def test_two_node_trajectory(self):
         sub, _, _ = two_node_instance()
-        z1 = jor_step(np.zeros(2), sub)
-        np.testing.assert_array_equal(z1, [0.0, 1.0])
+        z1 = jor_step(np.zeros((2, 1)), sub)
+        np.testing.assert_array_equal(z1, [[0.0], [1.0]])
         z2 = jor_step(z1, sub)
-        np.testing.assert_array_equal(z2, [0.5, 1.0])
+        np.testing.assert_array_equal(z2, [[0.5], [1.0]])
         # limit is the direct solve (2/3, 4/3)
         z = z2
         for _ in range(200):
             z = jor_step(z, sub)
-        np.testing.assert_allclose(z, [2 / 3, 4 / 3], atol=1e-12)
+        np.testing.assert_allclose(z, [[2 / 3], [4 / 3]], atol=1e-12)
 
     def test_fixed_point(self):
         sub, _, _, _ = random_instance(1)
         A, c = dense_system(sub)
-        x_star = np.linalg.solve(A, c)
+        x_star = np.linalg.solve(A, c).reshape(sub.node_count, sub.dim)
         z = jor_step(x_star, sub)
         np.testing.assert_allclose(z, x_star, atol=1e-12)
 
@@ -172,8 +173,8 @@ class TestJorStep:
         object.__setattr__(w, "diag", np.array([1.0, 1.0]))
         p = QuadraticProblem(np.array([[[4.0]], [[5.0]]]), np.array([[2.0], [1.0]]))
         sub = relaxed(assemble(p.B, p.Bb, w, theta=3.0), q=1.0)
-        z = jor_step(np.array([7.0, -7.0]), sub)
-        np.testing.assert_allclose(z, [8.0 / 4.0, 5.0 / 5.0], atol=0)
+        z = jor_step(np.array([[7.0], [-7.0]]), sub)
+        np.testing.assert_allclose(z, [[8.0 / 4.0], [5.0 / 5.0]], atol=0)
 
     def test_matches_dense_iteration(self):
         for seed in range(5):
@@ -181,25 +182,26 @@ class TestJorStep:
             M = dense_iteration_matrix(sub)
             pvec = (sub.q * sub.c / sub.d).reshape(-1)
             z = np.random.default_rng(seed).standard_normal(M.shape[0])
-            np.testing.assert_allclose(jor_step(z, sub), M @ z + pvec, atol=1e-12)
+            Z = z.reshape(sub.node_count, sub.dim)
+            np.testing.assert_allclose(jor_step(Z, sub).reshape(-1), M @ z + pvec, atol=1e-12)
 
     def test_dimension_mismatch(self):
         sub, _, _ = two_node_instance()
         with pytest.raises(ValueError):
-            jor_step(np.zeros(3), sub)
+            jor_step(np.zeros((3, 1)), sub)
 
 
 class TestPenaltyGradient:
     def test_zero_at_solution(self):
         sub, _, _, _ = random_instance(2)
         A, c = dense_system(sub)
-        _, norm = penalty_gradient(sub, np.linalg.solve(A, c))
+        _, norm = penalty_gradient(sub, np.linalg.solve(A, c).reshape(sub.node_count, sub.dim))
         assert norm <= 1e-10
 
     def test_two_node_at_origin(self):
         sub, _, _ = two_node_instance()
-        g, norm = penalty_gradient(sub, np.zeros(2))
-        np.testing.assert_array_equal(g, [0.0, -2.0])
+        g, norm = penalty_gradient(sub, np.zeros((2, 1)))
+        np.testing.assert_array_equal(g, [[0.0], [-2.0]])
         assert norm == 2.0
 
     def test_matches_dense(self):
@@ -207,8 +209,8 @@ class TestPenaltyGradient:
             sub, _, _, _ = random_instance(seed)
             A, c = dense_system(sub)
             z = np.random.default_rng(seed).standard_normal(A.shape[0])
-            g, _ = penalty_gradient(sub, z)
-            np.testing.assert_allclose(g, A @ z - c, atol=1e-12)
+            g, _ = penalty_gradient(sub, z.reshape(sub.node_count, sub.dim))
+            np.testing.assert_allclose(g.reshape(-1), A @ z - c, atol=1e-12)
 
     def test_equals_the_per_node_loop(self):
         for seed in range(5):
@@ -274,8 +276,8 @@ class TestContraction:
             sub, _, _, _ = random_instance(seed)
             rho = contraction_estimate(sub)
             A, c = dense_system(sub)
-            x_star = np.linalg.solve(A, c)
-            z = x_star + np.random.default_rng(seed).standard_normal(x_star.size)
+            x_star = np.linalg.solve(A, c).reshape(sub.node_count, sub.dim)
+            z = x_star + np.random.default_rng(seed).standard_normal(x_star.shape)
             d0 = np.linalg.norm(z - x_star)
             for k in range(1, 30):
                 z = jor_step(z, sub)
@@ -297,9 +299,9 @@ class TestContraction:
                 radius = np.max(np.abs(np.linalg.eigvals(dense_iteration_matrix(sub))))
                 assert rho == pytest.approx(np.max(np.abs(1.0 - sub.q * lam)), rel=1e-12)
                 assert rho == pytest.approx(radius, rel=1e-12)
-                x_star = np.linalg.solve(A, c)
-                d_half = np.sqrt(sub.d.reshape(-1))
-                z = x_star + np.random.default_rng(seed).standard_normal(x_star.size)
+                x_star = np.linalg.solve(A, c).reshape(sub.node_count, sub.dim)
+                d_half = np.sqrt(sub.d)
+                z = x_star + np.random.default_rng(seed).standard_normal(x_star.shape)
                 d0 = np.linalg.norm(d_half * (z - x_star))
                 for k in range(1, 31):
                     z = jor_step(z, sub)
@@ -356,8 +358,8 @@ class TestChebyshevCertificate:
             plan = chebyshev_plan(sub, mu)
             sweep = relaxed(sub, plan.q)
             A, c = dense_system(sub)
-            x_star = np.linalg.solve(A, c)
-            z = x_star + np.random.default_rng(idx).standard_normal(x_star.size)
+            x_star = np.linalg.solve(A, c).reshape(sub.node_count, sub.dim)
+            z = x_star + np.random.default_rng(idx).standard_normal(x_star.shape)
             d0 = np.linalg.norm(z - x_star)
             z_prev = z
             for k in range(60):
@@ -403,6 +405,14 @@ class TestChebyshevCertificate:
         sub, _, _, _ = random_instance(5)
         with pytest.raises(ValueError):
             chebyshev_plan(sub, 0.0)
+
+    def test_plan_refuses_a_rate_not_below_one(self):
+        # at 1e300 the rate rounds to 1; at 1.7e308 b overflows and the rate is NaN
+        _, p, w, _ = random_instance(5)
+        for theta, rate in ((1e300, "1.0"), (1.7e308, "nan")):
+            message = f"theta={theta:.6g} has no certified contraction rate below 1 (rate {rate})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                chebyshev_plan(assemble(p.B, p.Bb, w, theta), 1.0)
 
 
 def network_cases():

@@ -108,9 +108,12 @@ class TestLedger:
 
 class TestGather:
     def test_concatenation_order(self):
-        nodes = [NodeRuntime(0, (1,), {"x": np.array([1.0])}),
-                 NodeRuntime(1, (0,), {"x": np.array([2.0])})]
-        np.testing.assert_array_equal(gather_state(nodes, "x"), [1.0, 2.0])
+        # row i is node i's vector
+        nodes = [NodeRuntime(0, (1,), {"x": np.array([1.0, 2.0])}),
+                 NodeRuntime(1, (0, 2), {"x": np.array([3.0, 4.0])}),
+                 NodeRuntime(2, (1,), {"x": np.array([5.0, 6.0])})]
+        np.testing.assert_array_equal(gather_state(nodes, "x"),
+                                      [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
     def test_initial_condition_before_rounds(self):
         nodes, _, _, _ = efix_nodes(seed=4)
@@ -130,12 +133,12 @@ class TestRoundSemantics:
         nodes, sub, w, _ = efix_nodes(seed=6)
         M = dense_iteration_matrix(sub)
         pvec = (sub.q * sub.c / sub.d).reshape(-1)
-        z = gather_state(nodes, "z")
+        z = gather_state(nodes, "z").reshape(-1)
         ledger = CostLedger(w.degrees())
         for _ in range(25):
             run_round(nodes, ("z",), _efix_update, ledger, 1, 1)
             z = M @ z + pvec
-            np.testing.assert_allclose(gather_state(nodes, "z"), z, atol=1e-12)
+            np.testing.assert_allclose(gather_state(nodes, "z").reshape(-1), z, atol=1e-12)
 
     def test_order_independence_bitwise(self):
         nodes_a, _, w, _ = efix_nodes(seed=7)

@@ -168,7 +168,7 @@ class TestEfixQ:
         tr = efix_q(p, w, Schedule(theta0=2 * consts.L), Budget(outer=4))
         # replay the stage-end iterates with the solver's own inner iteration:
         # Chebyshev rounds over the re-relaxed sweep, restarted every stage
-        x = np.zeros(p.node_count * p.dim)
+        x = np.zeros((p.node_count, p.dim))
         for rec in tr.outer:
             sub = relaxed(assemble(p.B, p.Bb, w, rec.theta), rec.q)
             plan = chebyshev_plan(sub, consts.mu)
@@ -176,9 +176,8 @@ class TestEfixQ:
             x_prev = x
             for k in range(rec.k_run):
                 x, x_prev = chebyshev_step(x, x_prev, sweep, plan.weight(k)), x
-            X = x.reshape(p.node_count, p.dim)
-            lap_norm = np.linalg.norm(X - w.to_dense() @ X)
-            grad_norm = np.linalg.norm(p.stacked_gradient(X))
+            lap_norm = np.linalg.norm(x - w.to_dense() @ x)
+            grad_norm = np.linalg.norm(p.stacked_gradient(x))
             assert lap_norm <= (grad_norm + rec.epsilon) / rec.theta + 1e-12
         # the replay is efix_q's trajectory, not a neighbouring one
         np.testing.assert_array_equal(x, tr.x_final)
@@ -426,7 +425,7 @@ class TestDiging:
         alpha = 0.01
         tr = diging(p, w, alpha=alpha, budget=Budget(rounds=1))
         # replay the closed form for the first iterate
-        expected = np.concatenate([alpha * (p.B[i] @ p.b[i]) for i in range(4)])
+        expected = np.stack([alpha * (p.B[i] @ p.b[i]) for i in range(4)])
         # error_e of the trace row must match the replayed iterate
         from efix.analysis import error_e
         o = oracle_quadratic(p)
@@ -443,7 +442,7 @@ class TestDiging:
         from efix.analysis import error_e
         for rec in tr.records[1:]:
             X = W @ X
-            assert rec.error_e == pytest.approx(error_e(X.reshape(-1), o), rel=1e-12)
+            assert rec.error_e == pytest.approx(error_e(X, o), rel=1e-12)
         with pytest.raises(ValueError):
             diging(p, w, alpha=-0.1, budget=Budget(rounds=1))
 
@@ -534,24 +533,24 @@ class TestRoundGuard:
     def test_planned_variants_classify_the_start(self, solve, logistic):
         # k(0) is sized from the gradient norm at x0, so a planned run stops
         # on a bad start before stage 0 is set up, with no row and no stage
-        nan_start = np.zeros(10)
-        nan_start[3] = np.nan
-        for x0, failed in ((nan_start, True), (np.full(10, 1e200), False)):
+        nan_start = np.zeros((5, 2))
+        nan_start[1, 1] = np.nan
+        for x0, failed in ((nan_start, True), (np.full((5, 2), 1e200), False)):
             tr = self.guarded_start(x0, solve, logistic)
             assert (tr.numerical_failure, tr.diverged) == (failed, not failed)
             assert tr.records == [] and tr.outer == []
             np.testing.assert_array_equal(tr.x_final, x0)
 
     def test_nan_start_is_a_numerical_failure(self):
-        x0 = np.zeros(10)
-        x0[3] = np.nan
+        x0 = np.zeros((5, 2))
+        x0[1, 1] = np.nan
         tr = self.guarded_start(x0)
         assert tr.numerical_failure and not tr.diverged
         assert tr.records[-1].round == 1
 
     def test_overflowing_start_diverges(self):
         # finite iterate whose squared row norms overflow: the fallback branch
-        tr = self.guarded_start(np.full(10, 1e200))
+        tr = self.guarded_start(np.full((5, 2), 1e200))
         assert tr.diverged and not tr.numerical_failure
         assert tr.records[-1].round == 1
         assert np.isfinite(tr.x_final).all()
@@ -568,8 +567,8 @@ class TestRoundGuard:
             if run == "diging":
                 return diging(p, w, alpha=1e6, budget=Budget(rounds=5000))
             if run == "tracker":
-                return diging(p, w, alpha=1.0, budget=Budget(rounds=10), x0=np.full(10, 1e305))
-            x0 = np.full(10, 1e200) if run == "overflow" else np.full(10, np.nan)
+                return diging(p, w, alpha=1.0, budget=Budget(rounds=10), x0=np.full((5, 2), 1e305))
+            x0 = np.full((5, 2), 1e200 if run == "overflow" else np.nan)
             return efix_q_stopping(p, w, Schedule(theta0=2 * consts.L), Budget(rounds=50),
                                    x0=x0)
 
@@ -585,6 +584,31 @@ class TestRoundGuard:
         # repr: the rows hold NaNs, and repr tells every float apart
         assert repr([astuple(r) for r in tr.records]) == repr([astuple(r) for r in ref.records])
         assert np.array_equal(tr.x_final, ref.x_final, equal_nan=True)
+
+
+class TestIterateLayout:
+    """Every solver takes ``x0`` and returns ``x_final`` as (N, n) node blocks."""
+
+    @staticmethod
+    def solve(solver, x0=None):
+        p, w, consts = random_setup(29, N=6, n=2)
+        if solver is diging:
+            return diging(p, w, 1 / (10 * consts.L), Budget(rounds=40), x0=x0)
+        return solver(p, w, Schedule(theta0=2 * consts.L), Budget(rounds=40), x0=x0)
+
+    @pytest.mark.parametrize("solver", [efix_q, efix_g, efix_q_stopping, diging])
+    def test_x_final_is_the_last_emitted_iterate(self, monkeypatch, solver):
+        emitted = []
+        monkeypatch.setattr(solvers, "_emit", lambda run, X, *args: emitted.append(X.copy()))
+        tr = self.solve(solver)
+        assert tr.x_final.shape == (6, 2)
+        assert np.array_equal(tr.x_final, emitted[-1])
+
+    @pytest.mark.parametrize("solver", [efix_q, efix_g, efix_q_stopping, diging])
+    def test_flat_x0_is_rejected(self, solver):
+        expected = r"x0 must be \(6, 2\) node blocks, got shape \(12,\)"
+        with pytest.raises(ValueError, match=expected):
+            self.solve(solver, x0=np.zeros(12))
 
 
 class TestChebyshevRound:
@@ -628,7 +652,7 @@ class TestChebyshevRound:
         for t in trajectories[1:]:
             assert np.array_equal(trajectories[0], t)
         # the engine rounds are exactly the stacked reference iteration
-        z, z_prev = z0.reshape(-1), z0.reshape(-1)
+        z, z_prev = z0, z0
         for k in range(rounds):
             z, z_prev = chebyshev_step(z, z_prev, sweep, plan.weight(k)), z
             assert np.array_equal(z, trajectories[0][k])
@@ -692,7 +716,7 @@ def engine_replay_efix(problem, w, trace, oracle, record_rounds=True):
     run = replay_run(problem, w, oracle, trace)
     ledger, ref = run.ledger, run.trace
     for rec in trace.outer:
-        X = gather_state(nodes, "z").reshape(N, n)
+        X = gather_state(nodes, "z")
         H, c = zip(*(problem.model_terms(i, X[i]) for i in range(N)))
         sub = assemble(H, c, w, rec.theta)
         if problem.family != "quadratic":
@@ -707,8 +731,7 @@ def engine_replay_efix(problem, w, trace, oracle, record_rounds=True):
             update = functools.partial(_efix_cheb_update, omega=plan.weight(k))
             assert run_round(nodes, ("z",), update, ledger, 2 * n + 3, 1)
             if record_rounds:
-                _emit(run, gather_state(nodes, "z").reshape(N, n), rec.s, rec.theta,
-                      rec.epsilon)
+                _emit(run, gather_state(nodes, "z"), rec.s, rec.theta, rec.epsilon)
         Xs = gather_state(nodes, "z")
         _, gn = penalty_gradient(sub, Xs)
         ref.outer.append(OuterRecord(
@@ -740,7 +763,7 @@ def engine_replay_diging(problem, w, alpha, variant, trace, oracle):
     _emit(run, np.zeros((N, n)))
     for _ in range(len(trace.records) - 1):
         assert run_round(nodes, ("x", "u"), update, ledger, sp_round, 2)
-        _emit(run, gather_state(nodes, "x").reshape(N, n))
+        _emit(run, gather_state(nodes, "x"))
     ref.x_final = gather_state(nodes, "x")
     return ref
 
