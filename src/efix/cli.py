@@ -5,6 +5,10 @@ executes one algorithm and writes a trace CSV (plus a sidecar meta file),
 ``compare`` merges traces from the same problem/network into one CSV
 aligned by rounds, scalar products, and vectors sent.
 
+The config file holds every experiment value: the instance, the schedule,
+the budget and DIGing's ``m``.  The command line gives only what differs
+between the runs of one comparison: ``--out``, and ``--algo`` for ``run``.
+
 Exit codes: 0 success, 1 input error (config, files, or usage), 2
 numerical failure or divergence.
 """
@@ -30,7 +34,7 @@ ALGORITHMS = ("efix-q", "efix-g", "efix-q-stopping", "diging")
 _FIELDS = {
     "config": ("problem", "network", "algorithm", "schedule", "budget", "out"),
     "problem": ("family", "N", "n", "T", "seed", "mu", "spectrum", "path", "problem_file"),
-    "network": ("N", "seed", "network_file"),
+    "network": ("seed", "network_file"),
     "algorithm": ("name", "m"),
     "schedule": ("theta0_multiplier", "theta_rule"),
     "budget": ("rounds", "outer", "scalar_products"),
@@ -59,8 +63,8 @@ def _number(spec, key, default=None):
     return value
 
 
-def load_config(path, overrides):
-    """Read the JSON config, check its fields and apply flag overrides (flags win)."""
+def load_config(path, out=None, algo=None):
+    """Read the JSON config and check its fields; ``out`` and ``algo`` (the flags) replace theirs."""
     try:
         cfg = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -81,29 +85,28 @@ def load_config(path, overrides):
                 raise ValueError(f"{section} {key} must be an integer, got {spec[key]!r}")
     if not isinstance(cfg.get("out", ""), str):
         raise ValueError(f"config out must be a string, got {cfg['out']!r}")
-    if overrides.get("out") is not None:
-        cfg["out"] = overrides["out"]
-    for flag, section, key in (("algo", "algorithm", "name"), ("m", "algorithm", "m"),
-                               ("seed", "problem", "seed"), ("seed", "network", "seed")):
-        if overrides.get(flag) is not None:
-            cfg.setdefault(section, {})[key] = overrides[flag]
-    budget = {key: overrides[f"budget_{key}"] for key in ("rounds", "outer")
-              if overrides.get(f"budget_{key}") is not None}
-    if budget:
-        cfg["budget"] = budget
     # a section that names a file runs the file as written: another field would change nothing
     for section, key in (("problem", "problem_file"), ("network", "network_file")):
         if key in cfg.get(section, {}) and len(cfg[section]) > 1:
             raise ValueError(f"{section} {key} takes no other field, got {sorted(cfg[section])}")
+    if out is not None:
+        cfg["out"] = out
+    if algo is not None:
+        cfg.setdefault("algorithm", {})["name"] = algo
     return cfg
 
 
-def resolve_network(cfg):
+def resolve_network(cfg, problem):
+    """A ``network_file`` over the problem's nodes, or a geometric graph drawn on them."""
     net = cfg.get("network", {})
     if "network_file" in net:
-        return topology.mixing_from_json(Path(net["network_file"]).read_text())
+        w = topology.mixing_from_json(Path(net["network_file"]).read_text())
+        if w.node_count != problem.node_count:
+            raise ValueError(f"network_file has {w.node_count} nodes, "
+                             f"the problem {problem.node_count}")
+        return w
     try:
-        nbrs = topology.generate_geometric_graph(net["N"], net["seed"])
+        nbrs = topology.generate_geometric_graph(problem.node_count, net["seed"])
     except KeyError as exc:
         raise ValueError(f"network spec needs field {exc}")
     return topology.metropolis_weights(nbrs)
@@ -170,9 +173,7 @@ def cmd_gen(cfg):
     problem = resolve_problem(cfg)
     if problem.family != "quadratic":
         raise ValueError("gen persists quadratic problems; logistic data comes from files")
-    w = resolve_network(cfg)
-    if w.node_count != problem.node_count:
-        raise ValueError("problem and network node counts differ")
+    w = resolve_network(cfg, problem)
     out = cfg.get("out")
     if not out:
         raise ValueError("gen needs an output prefix")
@@ -187,9 +188,7 @@ def cmd_gen(cfg):
 
 def cmd_run(cfg):
     problem = resolve_problem(cfg)
-    w = resolve_network(cfg)
-    if w.node_count != problem.node_count:
-        raise ValueError("problem and network node counts differ")
+    w = resolve_network(cfg, problem)
     algo = cfg.get("algorithm", {}).get("name")
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
@@ -307,14 +306,10 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True)
     common.add_argument("--out", default=None)
-    common.add_argument("--algo", default=None, choices=ALGORITHMS)
-    common.add_argument("--m", type=int, default=None)
-    common.add_argument("--budget-rounds", type=int, default=None)
-    common.add_argument("--budget-outer", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
 
     sub.add_parser("gen", parents=[common])
-    sub.add_parser("run", parents=[common])
+    run = sub.add_parser("run", parents=[common])
+    run.add_argument("--algo", default=None, choices=ALGORITHMS)
     cp = sub.add_parser("compare")
     cp.add_argument("traces", nargs="+")
     cp.add_argument("--out", required=True)
@@ -326,7 +321,7 @@ def main(argv=None):
     try:
         if args.command == "compare":
             return cmd_compare(args.traces, args.out)
-        cfg = load_config(args.config, vars(args))
+        cfg = load_config(args.config, args.out, vars(args).get("algo"))
         if args.command == "gen":
             return cmd_gen(cfg)
         return cmd_run(cfg)

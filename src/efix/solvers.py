@@ -408,10 +408,15 @@ def diging(problem, w, alpha, budget: Budget, variant=None, oracle=None,
     local gradient difference for the general variant; u_i starts at the
     local gradient.  Two vectors travel per neighbor per round.  Scalar
     products are charged by problem family: 3n for quadratic costs and
-    3n + |J_i| for logistic ones.
+    3n + |J_i| for logistic ones.  The mixing contracts only if
+    ``w.lambda2 < 1``, so any other W is refused.
     """
     if alpha < 0:
         raise ValueError("step size must be nonnegative")
+    if w.lambda2 >= 1.0:
+        raise ValueError(f"DIGing needs lambda2 < 1, got lambda2={w.lambda2}; the weight rule "
+                         "w_ij = 1/max(d_i, d_j) gives lambda2 = 1 on 2-node networks "
+                         "and the 4-cycle")
     if budget.outer is not None:
         raise ValueError("DIGing has no outer iterations; budget by rounds or scalar products")
     variant = variant or ("quadratic" if problem.family == "quadratic" else "general")

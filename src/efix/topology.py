@@ -1,12 +1,13 @@
-"""Random geometric networks and Metropolis mixing matrices.
+"""Random geometric networks and their mixing matrices.
 
 Networks are undirected, connected graphs over nodes 0..N-1, each held
 as its tuple of sorted per-node neighbor lists (no self loops).  A mixing
 matrix is the symmetric doubly stochastic weight matrix built from a graph
-by the Metropolis rule; its entries are stored sparsely (per-node neighbor
-weights plus the diagonal) because every algorithm in this package touches
-only neighbor weights.  The same weights also sit in a padded neighbor
-table, over which ``gather`` runs every neighbor sum of a round at once.
+by the rule w_ij = 1/max(d_i, d_j) (see ``metropolis_weights``); its
+entries are stored sparsely (per-node neighbor weights plus the diagonal)
+because every algorithm in this package touches only neighbor weights.
+The same weights also sit in a padded neighbor table, over which
+``gather`` runs every neighbor sum of a round at once.
 """
 
 import json
@@ -203,9 +204,12 @@ def _build_mixing(neighbor_lists, off, diag):
 
 
 def metropolis_weights(nbrs) -> MixingMatrix:
-    """Metropolis rule: w_ij = 1/max(deg i, deg j), diagonal complements the row.
+    """Max-degree rule: w_ij = 1/max(d_i, d_j), diagonal complements the row.
 
-    ``nbrs`` is the graph: its tuple of sorted per-node neighbor lists.
+    This is not the Metropolis-Hastings rule 1/(1 + max(d_i, d_j)): on a
+    bipartite graph whose edges each join two nodes of equal degree (every
+    2-node network, the 4-cycle) W has the eigenvalue -1, so ``lambda2`` is
+    1.0.  ``nbrs`` is the graph: its tuple of sorted per-node neighbor lists.
     """
     if not _connected(nbrs):
         raise ValueError("graph must be connected")

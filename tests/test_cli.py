@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ def write_config(path, **cfg):
 def base_config(tmp_path, algo="efix-q", budget=None, name="cfg.json", **extra):
     cfg = {
         "problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2},
-        "network": {"N": 6, "seed": 11},
+        "network": {"seed": 11},
         "algorithm": {"name": algo},
         "budget": budget or {"rounds": 40},
         "out": str(tmp_path / "trace.csv"),
@@ -51,7 +52,7 @@ class TestGen:
     def test_files_and_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "g.json",
                            problem={"family": "quadratic", "N": 5, "n": 2, "seed": 3},
-                           network={"N": 5, "seed": 4},
+                           network={"seed": 4},
                            out=str(tmp_path / "inst"))
         assert main(["gen", "--config", cfg]) == 0
         prob_text = (tmp_path / "inst.problem.json").read_text()
@@ -68,7 +69,7 @@ class TestGen:
         for sub in ("a", "b"):
             cfg = write_config(tmp_path / f"{sub}.json",
                                problem={"family": "quadratic", "N": 5, "n": 2, "seed": 3},
-                               network={"N": 5, "seed": 4},
+                               network={"seed": 4},
                                out=str(tmp_path / sub))
             assert main(["gen", "--config", cfg]) == 0
         assert (tmp_path / "a.problem.json").read_bytes() == (tmp_path / "b.problem.json").read_bytes()
@@ -78,7 +79,7 @@ class TestGen:
         cfg = write_config(tmp_path / "g.json",
                            problem={"family": "logistic", "N": 3, "T": 9, "n": 2,
                                     "seed": 0, "mu": 1e-2},
-                           network={"N": 3, "seed": 1},
+                           network={"seed": 1},
                            out=str(tmp_path / "x"))
         assert main(["gen", "--config", cfg]) == 1
 
@@ -140,7 +141,7 @@ class TestRun:
         assert main(["run", "--config", cfg, "--algo", "efix-q"]) == 0
         cfg2 = write_config(tmp_path / "bad.json",
                             problem={"family": "quadratic", "N": 4, "n": 2, "seed": 1},
-                            network={"N": 4, "seed": 1},
+                            network={"seed": 1},
                             algorithm={"name": "sgd"},
                             budget={"rounds": 3},
                             out=str(tmp_path / "t.csv"))
@@ -149,7 +150,7 @@ class TestRun:
     def test_missing_budget_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "nb.json",
                            problem={"family": "quadratic", "N": 4, "n": 2, "seed": 1},
-                           network={"N": 4, "seed": 1},
+                           network={"seed": 1},
                            algorithm={"name": "efix-q"},
                            out=str(tmp_path / "t.csv"))
         assert main(["run", "--config", cfg]) == 1
@@ -196,7 +197,7 @@ class TestRun:
 
     @pytest.mark.parametrize("section, fragment", [
         ({"schedule": {"theta0_multiplier": 1e-9}}, "kappa/2"),
-        ({"problem": LOGISTIC, "network": {"N": 4, "seed": 6}}, "efix_g"),
+        ({"problem": LOGISTIC, "network": {"seed": 6}}, "efix_g"),
         ({"problem": {"family": "logistic", "path": "{tmp}/absent.svm", "N": 6, "seed": 1}},
          "{tmp}/absent.svm"),
         ({"problem": {"problem_file": "{tmp}/absent.problem.json"}}, "{tmp}/absent.problem.json"),
@@ -207,18 +208,18 @@ class TestRun:
         ({"algorithm": {"name": "diging", "m": -1}}, "algorithm m"),
         ({"algorithm": {"name": "diging"}, "budget": {"outer": 2}}, "outer"),
         ({"problem": {"family": "quadratic", "N": 1, "n": 3, "seed": 2},
-          "network": {"N": 1, "seed": 11}}, "two nodes"),
+          "network": {"seed": 11}}, "two nodes"),
         ({"schedule": {"eps0": "abc"}}, "unknown schedule field 'eps0'"),
         ({"schedule": {"theta0_multiplier": None}}, "theta0"),
-        ({"problem": dict(LOGISTIC, T=3), "network": {"N": 4, "seed": 6},
+        ({"problem": dict(LOGISTIC, T=3), "network": {"seed": 6},
           "algorithm": {"name": "efix-g"}}, "cannot split"),
-        ({"problem": dict(LOGISTIC, mu=-1), "network": {"N": 4, "seed": 6},
+        ({"problem": dict(LOGISTIC, mu=-1), "network": {"seed": 6},
           "algorithm": {"name": "efix-g"}}, "mu"),
         ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "spectrum": [5]}},
          "spectrum"),
         ({"problem": [1]}, "problem"),
         ({"problem": {"family": "quadratic", "N": 6, "n": 0, "seed": 2}}, "problem n"),
-        ({"problem": dict(LOGISTIC, n=0), "network": {"N": 4, "seed": 6},
+        ({"problem": dict(LOGISTIC, n=0), "network": {"seed": 6},
           "algorithm": {"name": "efix-g"}}, "problem n"),
         ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "spectrum": [5, -1]}},
          "spectrum"),
@@ -226,38 +227,38 @@ class TestRun:
          "spectrum"),
         ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "spectrum": ["a", 1]}},
          "spectrum"),
-        ({"problem": dict(LOGISTIC, mu=float("nan")), "network": {"N": 4, "seed": 6},
+        ({"problem": dict(LOGISTIC, mu=float("nan")), "network": {"seed": 6},
           "algorithm": {"name": "efix-g"}}, "mu must be finite and positive, got nan"),
-        ({"problem": dict(LOGISTIC, mu=float("inf")), "network": {"N": 4, "seed": 6},
+        ({"problem": dict(LOGISTIC, mu=float("inf")), "network": {"seed": 6},
           "algorithm": {"name": "efix-g"}}, "mu must be finite and positive, got inf"),
         ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2,
                       "spectrum": [1, float("inf")]}}, "high < inf, got [1, inf]"),
         ({"budget": {"rounds": 5, "outr": 3}}, "unknown budget field 'outr'"),
         ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "shift_range": [0, 1]}},
          "unknown problem field 'shift_range'"),
-        ({"network": {"N": 6, "seed": 11, "radius": 0.5}}, "unknown network field 'radius'"),
+        ({"network": {"seed": 11, "radius": 0.5}}, "unknown network field 'radius'"),
         ({"algorithm": {"name": "diging", "alpha": 0.1}}, "unknown algorithm field 'alpha'"),
         ({"seeds": 3}, "unknown config field 'seeds'"),
         ({"problem": {"family": "quadratic", "N": 6.7, "n": 3, "seed": 2}},
          "problem N must be an integer, got 6.7"),
         ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2.9}},
          "problem seed must be an integer, got 2.9"),
-        ({"network": {"N": 6, "seed": 11.5}}, "network seed must be an integer, got 11.5"),
+        ({"network": {"seed": 11.5}}, "network seed must be an integer, got 11.5"),
         ({"algorithm": {"name": "diging", "m": 2.5}}, "algorithm m must be an integer, got 2.5"),
-        ({"problem": dict(LOGISTIC, T=True), "network": {"N": 4, "seed": 6},
+        ({"problem": dict(LOGISTIC, T=True), "network": {"seed": 6},
           "algorithm": {"name": "efix-g"}}, "problem T must be an integer, got True"),
         ({"schedule": {"theta0": 50.0, "theta0_multiplier": 3.0}},
          "unknown schedule field 'theta0'"),
         ({"budget": {"rounds": 5.5}}, "budget limit rounds must be an integer, got 5.5"),
-        ({"problem": dict(LOGISTIC, mu=True), "network": {"N": 4, "seed": 6},
+        ({"problem": dict(LOGISTIC, mu=True), "network": {"seed": 6},
           "algorithm": {"name": "efix-g"}}, "mu must be a number, got True"),
-        ({"problem": dict(LOGISTIC, mu="0.01"), "network": {"N": 4, "seed": 6},
+        ({"problem": dict(LOGISTIC, mu="0.01"), "network": {"seed": 6},
           "algorithm": {"name": "efix-g"}}, "mu must be a number, got '0.01'"),
         # refused before the file is read
         ({"problem": {"problem_file": "{tmp}/inst.problem.json", "family": "logistic", "N": 99}},
          "problem problem_file takes no other field, got ['N', 'family', 'problem_file']"),
-        ({"network": {"network_file": "{tmp}/inst.network.json", "N": 6, "seed": 3}},
-         "network network_file takes no other field, got ['N', 'network_file', 'seed']"),
+        ({"network": {"network_file": "{tmp}/inst.network.json", "seed": 3}},
+         "network network_file takes no other field, got ['network_file', 'seed']"),
         ({"schedule": {"theta0_multiplier": float("nan")}},
          "theta0 must be finite and positive, got nan"),
         ({"schedule": {"theta0_multiplier": float("inf")}},
@@ -272,6 +273,11 @@ class TestRun:
           for mult, theta, rate in ((1e300, "9.83679e+301", "1.0"),
                                     (1e306, "9.83679e+307", "nan"))
           for algo in ("efix-q", "efix-g", "efix-q-stopping")],
+        # a generated network takes the problem's node count
+        ({"network": {"N": 6, "seed": 11}}, "unknown network field 'N'"),
+        # every 2-node W has the eigenvalue -1
+        ({"problem": {"family": "quadratic", "N": 2, "n": 3, "seed": 2},
+          "algorithm": {"name": "diging"}}, "DIGing needs lambda2 < 1, got lambda2=1.0"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, section, fragment):
         section = json.loads(json.dumps(section).replace("{tmp}", str(tmp_path)))
@@ -324,6 +330,7 @@ class TestRun:
         ("network_file", path3_network(n=1, edges=[], weights=[], diag=[1.0]),
          "field 'n' must be an integer of at least 2, got 1"),
         ("problem_file", identity_problem(n=2.5), "must be integers, got 2.5 and 3"),
+        ("network_file", path3_network(), "network_file has 3 nodes, the problem 6"),
     ], ids=["problem-without-n", "problem-not-object", "network-without-n",
             "network-without-weights", "network-edge-without-weight",
             "network-duplicate-edge", "network-self-loop", "network-id-above-n",
@@ -332,7 +339,8 @@ class TestRun:
             "network-weight-off-edge", "network-weight-twice", "network-nan-weight",
             "network-infinite-diag", "network-text-diag", "network-edges-not-list",
             "problem-nan-entry", "problem-infinite-shift", "problem-non-symmetric",
-            "problem-negative-definite", "network-one-node", "problem-fractional-n"])
+            "problem-negative-definite", "network-one-node", "problem-fractional-n",
+            "network-node-count"])
     def test_bad_input_file_is_one_error_line(self, tmp_path, capsys, key, text, fragment):
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -352,56 +360,82 @@ class TestRun:
         assert main(["run", "--config", cfg]) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["run", "--config", "cfg.json", "--budget-rounds", "abc"],
+        ["run", "--config", "{cfg}", "--algo", "sgd"],
         ["frobnicate"],
+        # the config holds every experiment value; no flag gives one a second source
+        ["run", "--config", "{cfg}", "--seed", "3"],
+        ["run", "--config", "{cfg}", "--m", "7"],
+        ["run", "--config", "{cfg}", "--budget-rounds", "50"],
+        ["run", "--config", "{cfg}", "--budget-outer", "2"],
+        ["gen", "--config", "{cfg}", "--algo", "diging"],
     ])
-    def test_usage_error_exits_1(self, capsys, argv):
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
+        cfg = base_config(tmp_path, out=str(tmp_path / "inst"))
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main([cfg if arg == "{cfg}" else arg for arg in argv])
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_divergence_exit_code(self, tmp_path):
         # DIGing with 1/(10 L) diverges on this instance (measured)
         cfg = write_config(tmp_path / "d.json",
                            problem={"family": "quadratic", "N": 6, "n": 3, "seed": 16},
-                           network={"N": 6, "seed": 316},
+                           network={"seed": 316},
                            algorithm={"name": "diging", "m": 10},
                            budget={"rounds": 5000},
                            out=str(tmp_path / "t.csv"))
         assert main(["run", "--config", cfg]) == 2
 
     def test_flag_overrides(self, tmp_path):
-        cfg = base_config(tmp_path, budget={"rounds": 999})
+        cfg = base_config(tmp_path, budget={"rounds": 7})
         out2 = tmp_path / "other.csv"
-        assert main(["run", "--config", cfg, "--out", str(out2),
-                     "--budget-rounds", "7"]) == 0
-        rows = read_rows(out2)
-        assert rows[-1]["round"] == "7"
+        assert main(["run", "--config", cfg, "--out", str(out2), "--algo", "diging"]) == 0
+        assert read_rows(out2)[-1]["round"] == "7"
+        assert not (tmp_path / "trace.csv").exists()
+        meta = json.loads(Path(str(out2) + ".meta.json").read_text())
+        assert meta["algo"] == "diging"
+        assert meta["config"]["out"] == str(out2)
+        assert meta["config"]["algorithm"] == {"name": "diging"}
 
-    def test_budget_flags_combine(self, tmp_path):
-        # the two flags form one budget; neither replaces the other
-        cfg = base_config(tmp_path, budget={"scalar_products": 5})
-        assert main(["run", "--config", cfg, "--budget-rounds", "7",
-                     "--budget-outer", "1"]) == 0
+    @pytest.mark.parametrize("command, flags", [
+        ("gen", {"--help", "--config", "--out"}),
+        ("run", {"--help", "--config", "--out", "--algo"}),
+    ])
+    def test_help_lists_only_config_out_and_algo(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == flags
+
+    def test_budget_limits_combine(self, tmp_path):
+        # the config's limits form one budget, and the run stops at whichever it reaches
+        # first; the outer limit is far enough that the rounds cap binds under any stage count
+        cfg = base_config(tmp_path, budget={"rounds": 7, "outer": 10})
+        assert main(["run", "--config", cfg]) == 0
         meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
-        assert meta["config"]["budget"] == {"rounds": 7, "outer": 1}
+        assert meta["config"]["budget"] == {"rounds": 7, "outer": 10}
         assert read_rows(tmp_path / "trace.csv")[-1]["round"] == "7"
+        cfg = base_config(tmp_path, budget={"rounds": 10000, "outer": 1})
+        assert main(["run", "--config", cfg]) == 0
+        last = read_rows(tmp_path / "trace.csv")[-1]
+        assert last["outer_s"] == "0" and int(last["round"]) < 10000
 
-    def test_seed_override_changes_instance(self, tmp_path):
-        cfg = base_config(tmp_path, budget={"rounds": 3})
-        main(["run", "--config", cfg])
-        base_hash = json.loads((tmp_path / "trace.csv.meta.json").read_text())["problem_hash"]
-        main(["run", "--config", cfg, "--seed", "77"])
-        new_hash = json.loads((tmp_path / "trace.csv.meta.json").read_text())["problem_hash"]
-        assert new_hash != base_hash
+    def test_config_seed_changes_instance(self, tmp_path):
+        hashes = []
+        for seed in (2, 77):
+            cfg = base_config(tmp_path, budget={"rounds": 3},
+                              problem={"family": "quadratic", "N": 6, "n": 3, "seed": seed})
+            assert main(["run", "--config", cfg]) == 0
+            hashes.append(json.loads((tmp_path / "trace.csv.meta.json").read_text())["problem_hash"])
+        assert hashes[0] != hashes[1]
 
     def test_logistic_synthetic_run(self, tmp_path):
         cfg = write_config(tmp_path / "l.json",
                            problem={"family": "logistic", "N": 4, "T": 24, "n": 3,
                                     "seed": 5, "mu": 1e-2},
-                           network={"N": 4, "seed": 6},
+                           network={"seed": 6},
                            algorithm={"name": "efix-g"},
                            budget={"outer": 2},
                            out=str(tmp_path / "t.csv"))
@@ -412,7 +446,7 @@ class TestRun:
     def test_problem_file_reload(self, tmp_path, capsys):
         gen_cfg = write_config(tmp_path / "g.json",
                                problem={"family": "quadratic", "N": 5, "n": 2, "seed": 3},
-                               network={"N": 5, "seed": 4},
+                               network={"seed": 4},
                                out=str(tmp_path / "inst"))
         assert main(["gen", "--config", gen_cfg]) == 0
         run_cfg = write_config(tmp_path / "r.json",
@@ -422,8 +456,11 @@ class TestRun:
                                budget={"rounds": 5},
                                out=str(tmp_path / "t.csv"))
         assert main(["run", "--config", run_cfg]) == 0
-        # a seed flag would change neither file's instance
-        assert main(["run", "--config", run_cfg, "--seed", "7"]) == 1
+        # a seed would change neither file's instance
+        seeded = json.loads(Path(run_cfg).read_text())
+        seeded["problem"]["seed"] = 7
+        run_cfg = write_config(tmp_path / "r.json", **seeded)
+        assert main(["run", "--config", run_cfg]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(
             "error: problem problem_file takes no other field, got ['problem_file', 'seed']")
@@ -434,7 +471,7 @@ class TestCompare:
         pa = tmp_path / "efix.csv"
         pb = tmp_path / "diging.csv"
         shared = dict(problem={"family": "quadratic", "N": 6, "n": 3, "seed": 2},
-                      network={"N": 6, "seed": 11},
+                      network={"seed": 11},
                       budget={"rounds": rounds})
         cfg_a = write_config(tmp_path / "a.json", algorithm={"name": "efix-q"},
                              out=str(pa), **shared)
@@ -477,7 +514,7 @@ class TestCompare:
         pa, _ = self.run_pair(tmp_path, rounds=5)
         other_cfg = write_config(tmp_path / "c.json",
                                  problem={"family": "quadratic", "N": 6, "n": 3, "seed": 99},
-                                 network={"N": 6, "seed": 11},
+                                 network={"seed": 11},
                                  algorithm={"name": "efix-q"},
                                  budget={"rounds": 5},
                                  out=str(tmp_path / "other.csv"))

@@ -463,6 +463,14 @@ class TestDiging:
         tr = diging(p, w, alpha=1e6, budget=Budget(rounds=5000))
         assert tr.diverged and not tr.numerical_failure
 
+    @pytest.mark.parametrize("nbrs", [((1,), (0,)), ((1, 3), (0, 2), (1, 3), (0, 2))],
+                             ids=["two-nodes", "four-cycle"])
+    def test_refuses_w_with_lambda2_one(self, nbrs):
+        # W has the eigenvalue -1 there, so DIGing's mixing never contracts
+        p = generate_quadratic(len(nbrs), 2, 3)
+        with pytest.raises(ValueError, match=r"DIGing needs lambda2 < 1, got lambda2=1\.0"):
+            diging(p, metropolis_weights(nbrs), alpha=0.01, budget=Budget(rounds=5))
+
     def test_outer_budget_rejected(self):
         p, w, consts = random_setup(19, N=4, n=2)
         with pytest.raises(ValueError):

@@ -119,7 +119,14 @@ class TestSpectralGap:
     def test_bipartite_returns_one(self):
         # two nodes joined by one edge: W = [[0,1],[1,0]], eigenvalues {1,-1}
         w = metropolis_weights(((1,), (0,)))
-        assert w.lambda2 == pytest.approx(1.0, abs=1e-12)
+        assert w.lambda2 == 1.0
+
+    def test_four_cycle_returns_one(self):
+        # w_ij = 1/max(d_i, d_j) = 1/2 on every edge, w_ii = 0: W has the eigenvalue -1
+        # (x = (1, -1, 1, -1)), so the modulus lambda2 is exactly 1, not below it
+        w = metropolis_weights(((1, 3), (0, 2), (1, 3), (0, 2)))
+        assert w.lambda2 == 1.0
+        assert metropolis_weights(path3()).lambda2 < 1.0
 
 
 class TestNeighborTable:
