@@ -161,13 +161,9 @@ def slope_fit(trace, s_range) -> float:
 
 def first_hit(trace, tol):
     """theta of the first outer stage whose max-node error is <= tol, or None."""
-    for rec in trace.outer:
-        if rec.error_max <= tol:
-            return rec.theta
-    return None
+    return next((rec.theta for rec in trace.outer if rec.error_max <= tol), None)
 
 
-def complexity_bound(consts, lambda2, tol) -> int:
-    """Outer-stage upper bound ceil(2 J (3 + 2L/mu) / ((1 - lambda2) tol))."""
-    return math.ceil(2.0 * consts.J * (3.0 + 2.0 * consts.L / consts.mu)
-                     / ((1.0 - lambda2) * tol))
+def complexity_bound(consts, gap, tol) -> int:
+    """Outer-stage upper bound ceil(2 J (3 + 2L/mu) / (gap tol)), gap from ``MixingMatrix``."""
+    return math.ceil(2.0 * consts.J * (3.0 + 2.0 * consts.L / consts.mu) / (gap * tol))

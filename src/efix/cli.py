@@ -41,6 +41,10 @@ _FIELDS = {
 }
 # the fields that must be integers, in whichever section gives them
 _INTEGER_FIELDS = ("N", "n", "T", "seed", "m")
+# the problem fields each source reads: another would change nothing
+_SOURCE_FIELDS = {"quadratic": ("family", "N", "n", "seed", "spectrum"),
+                  "logistic": ("family", "N", "T", "n", "seed", "mu"),
+                  "logistic path": ("family", "path", "N", "seed", "mu")}
 
 
 def _fmt(v):
@@ -117,6 +121,10 @@ def resolve_problem(cfg):
     if "problem_file" in spec:
         return problems.QuadraticProblem.from_json(Path(spec["problem_file"]).read_text())
     family = spec.get("family")
+    source = "logistic path" if family == "logistic" and "path" in spec else family
+    unread = [key for key in spec if key not in _SOURCE_FIELDS.get(source, spec)]
+    if unread:
+        raise ValueError(f"a {source} problem takes no field {', '.join(map(repr, unread))}")
     try:
         if family == "quadratic":
             kwargs = {}
@@ -181,7 +189,7 @@ def cmd_gen(cfg):
     Path(str(out) + ".problem.json").write_text(problem.to_json())
     Path(str(out) + ".network.json").write_text(topology.network_to_json(w))
     print(json.dumps({"L": consts.L, "mu": consts.mu, "kappa": consts.kappa,
-                      "J": consts.J, "lambda2": w.lambda2, "w_bar": w.w_bar},
+                      "J": consts.J, "lambda2": w.lambda2, "gap": w.gap, "w_bar": w.w_bar},
                      sort_keys=True))
     return 0
 

@@ -233,11 +233,10 @@ def chebyshev_plan(sub: PenaltySubproblem, mu) -> ChebyshevPlan:
     below, where lam is a consensus-aware bound on lambda_min(A).  Split
     x = u + v with u = 1 (x) y the consensus part and sum_i v_i = 0:
     u'Hu >= hbar |u|^2 with hbar = lambda_min(mean_i H_i);
-    v'Hv + theta v'((I - W) (x) I)v >= g |v|^2 with g = mu + theta (1 - lambda2)
-    (``w.lambda2`` is the second-largest modulus, so 1 - lambda2 never
-    overstates the gap); and |u'Hv| <= eta |u||v| with eta = max_i ||H_i||.
-    So lambda_min(A) >= lam = lambda_min([[hbar, -eta], [-eta, g]]).  When
-    lam <= mu, a is exactly the Rayleigh bound mu / max d (A >= mu I).
+    v'Hv + theta v'((I - W) (x) I)v >= g |v|^2 with g = mu + theta ``w.gap``, the
+    gap being the least nonzero eigenvalue of I - W; and |u'Hv| <= eta |u||v|
+    with eta = max_i ||H_i||.  So lambda_min(A) >= lam = lambda_min([[hbar, -eta],
+    [-eta, g]]).  When lam <= mu, a is exactly the Rayleigh bound mu / max d (A >= mu I).
 
     b is the largest Gershgorin row sum of D^{-1} A, whose off-diagonal
     blocks are -theta w_ij I.  Everything comes from the nodes' own blocks
@@ -256,7 +255,7 @@ def chebyshev_plan(sub: PenaltySubproblem, mu) -> ChebyshevPlan:
     ev = np.linalg.eigvalsh(np.concatenate([H, H.mean(axis=0)[None]]))
     h_bar = float(ev[-1, 0])
     eta = float(np.abs(ev[:-1]).max())
-    g = mu + sub.theta * (1.0 - sub.w.lambda2)
+    g = mu + sub.theta * sub.w.gap
     # det / lambda_max: (h_bar + g)/2 - sqrt(...) would cancel at large theta
     lam_max = 0.5 * (h_bar + g) + math.hypot(0.5 * (h_bar - g), eta)
     lam = (h_bar * g - eta * eta) / lam_max

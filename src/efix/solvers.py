@@ -133,18 +133,14 @@ class Trace:
     x_final: np.ndarray | None = None   # (N, n)
 
 
-def epsilon_balance(theta, consts, lambda2):
+def epsilon_balance(theta, consts, gap):
     """Inner tolerance balancing solver error against penalty error.
 
-    eps = mu * ( L J sqrt(4 - 2 kappa/theta) / (theta kappa (1 - lambda2))
-                 + J / (theta (1 - lambda2)) ).
+    eps = mu (L J sqrt(4 - 2 kappa/theta) / (theta kappa gap) + J / (theta gap)), gap = ``w.gap``.
     """
-    if lambda2 >= 1.0:
-        raise ValueError(f"lambda2={lambda2} leaves no spectral gap")
     if theta <= consts.kappa / 2.0:
         raise ValueError(f"theta={theta} must exceed kappa/2={consts.kappa / 2.0}")
     root = math.sqrt(4.0 - 2.0 * consts.kappa / theta)
-    gap = 1.0 - lambda2
     return consts.mu * (consts.L * consts.J * root / (theta * consts.kappa * gap)
                         + consts.J / (theta * gap))
 
@@ -266,7 +262,7 @@ class _Run:
 def _efix_run(algo, problem, w, oracle, x0, record_rounds):
     """An EFIX run's harness, and the problem's constants that its trace carries."""
     c = problems.constants_for(problem)
-    meta = {"L": c.L, "mu": c.mu, "J": c.J, "lambda2": w.lambda2, "w_bar": w.w_bar}
+    meta = {"L": c.L, "mu": c.mu, "J": c.J, "gap": w.gap, "w_bar": w.w_bar}
     return _Run(problem, w, algo, oracle, x0, record_rounds, meta), c
 
 
@@ -284,7 +280,7 @@ def _stages(run, consts, sched, budget):
         sub = penalty.assemble_model(run.problem, run.Z, run.w, theta_s)
         if boundary_sp is not None:
             run.ledger.charge_local(boundary_sp)
-        yield _StageSetup(s, theta_s, epsilon_balance(theta_s, consts, run.w.lambda2), sub,
+        yield _StageSetup(s, theta_s, epsilon_balance(theta_s, consts, run.w.gap), sub,
                           penalty.chebyshev_plan(sub, consts.mu))
         s += 1
 

@@ -27,8 +27,10 @@ class MixingMatrix:
     """Symmetric doubly stochastic weights stored by neighbor list.
 
     ``off_diag[i]`` holds w_ij aligned with ``neighbor_lists[i]``;
-    ``diag[i]`` is w_ii.  ``w_bar`` is max_i w_ii and ``lambda2`` the
-    second largest eigenvalue of W in modulus.
+    ``diag[i]`` is w_ii.  ``w_bar`` is max_i w_ii, ``lambda2`` the second
+    largest eigenvalue modulus of W (for averaging and DIGing), and ``gap``
+    the least nonzero eigenvalue 1 - lambda_2 of I - W, lambda_2 signed (for
+    the penalty stages).  No W without a positive gap is built.
 
     ``idx`` and ``wt`` are the same weights as a read-only (N, dmax)
     neighbor table, dmax the largest degree: row i lists
@@ -42,6 +44,7 @@ class MixingMatrix:
     diag: np.ndarray
     w_bar: float
     lambda2: float
+    gap: float
     idx: np.ndarray = field(repr=False)
     wt: np.ndarray = field(repr=False)
 
@@ -198,9 +201,12 @@ def _dense(idx, wt, diag):
 
 def _build_mixing(neighbor_lists, off, diag):
     idx, wt = _neighbor_table(neighbor_lists, off)
-    return MixingMatrix(len(neighbor_lists), neighbor_lists, tuple(off), diag,
-                        w_bar=float(diag.max()),
-                        lambda2=_second_modulus(_dense(idx, wt, diag)), idx=idx, wt=wt)
+    ev = np.linalg.eigvalsh(_dense(idx, wt, diag))   # ascending; ev[-1] is the Perron 1
+    gap = float(1.0 - ev[-2])
+    if not gap > 0:
+        raise ValueError(f"mixing matrix has no spectral gap: 1 - lambda_2 = {gap}")
+    return MixingMatrix(len(neighbor_lists), neighbor_lists, tuple(off), diag, float(diag.max()),
+                        float(max(abs(ev[0]), abs(ev[-2]))), gap, idx=idx, wt=wt)
 
 
 def metropolis_weights(nbrs) -> MixingMatrix:
@@ -209,7 +215,8 @@ def metropolis_weights(nbrs) -> MixingMatrix:
     This is not the Metropolis-Hastings rule 1/(1 + max(d_i, d_j)): on a
     bipartite graph whose edges each join two nodes of equal degree (every
     2-node network, the 4-cycle) W has the eigenvalue -1, so ``lambda2`` is
-    1.0.  ``nbrs`` is the graph: its tuple of sorted per-node neighbor lists.
+    1.0, though ``gap`` is 2 and 1 there.  ``nbrs`` is the graph: its tuple
+    of sorted per-node neighbor lists.
     """
     if not _connected(nbrs):
         raise ValueError("graph must be connected")
@@ -220,12 +227,6 @@ def metropolis_weights(nbrs) -> MixingMatrix:
     # one sum per row: padding zeros could regroup numpy's pairwise sum
     diag = np.array([1.0 - ws.sum() for ws in off])
     return _build_mixing(nbrs, off, diag)
-
-
-def _second_modulus(dense_w):
-    ev = np.linalg.eigvalsh(dense_w)
-    # ev sorted ascending; ev[-1] is the Perron eigenvalue 1
-    return float(max(abs(ev[0]), abs(ev[-2])))
 
 
 def gather(w: MixingMatrix, Z, weights=None, acc=None):

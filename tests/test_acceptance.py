@@ -168,7 +168,7 @@ class TestCriterion5RateAndComplexity:
                 hit_theta = first_hit(tr, tol)
                 if hit_theta is None:
                     continue
-                if hit_theta > complexity_bound(consts, w.lambda2, tol):
+                if hit_theta > complexity_bound(consts, w.gap, tol):
                     bound_ok = False
         ok = all(s <= -0.9 for s in slopes) and bound_ok
         report(5, ok,

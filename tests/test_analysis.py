@@ -198,7 +198,7 @@ class TestHittingHelpers:
 
     def test_complexity_bound_value(self):
         consts = quadratic_constants(generate_quadratic(4, 3, seed=10))
-        b = complexity_bound(consts, lambda2=0.5, tol=0.1)
+        b = complexity_bound(consts, gap=0.5, tol=0.1)
         expected = math.ceil(2 * consts.J * (3 + 2 * consts.L / consts.mu) / (0.5 * 0.1))
         assert b == expected
 

@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from efix import problems, solvers
-from efix.cli import main
+from efix.cli import ALGORITHMS, main
 from efix.problems import QuadraticProblem
-from efix.topology import generate_geometric_graph, mixing_from_json
+from efix.topology import generate_geometric_graph, metropolis_weights, mixing_from_json
 
 
 LOGISTIC = {"family": "logistic", "N": 4, "T": 24, "n": 3, "seed": 5, "mu": 1e-2}
@@ -38,6 +38,17 @@ def path3_network(n=3, edges=([0, 1], [1, 2]), weights=([0, 1, 0.5], [1, 2, 0.5]
                        "diag": list(diag)})
 
 
+# middle-edge weights of the path 0-1-2-3 that leave W's eigenvalue 1 double (gap 0.0)
+CUT_WEIGHTS = (0, 1e-17)
+
+
+def cut_path4_network(weight):
+    """A network file's text: the path 0-1-2-3 whose middle edge weighs ``weight``."""
+    return path3_network(n=4, edges=[[0, 1], [1, 2], [2, 3]],
+                         weights=[[0, 1, 0.5], [1, 2, weight], [2, 3, 0.5]],
+                         diag=[0.5, 0.5 - weight, 0.5 - weight, 0.5])
+
+
 def identity_problem(B=((1.0, 0.0, 0.0, 1.0),) * 3, b=((0.0, 1.0),) * 3, n=2):
     """A problem file's text: by default N=3 nodes of B_ii = I and n=2."""
     return json.dumps({"n": n, "N": 3, "B": list(B), "b": list(b)})
@@ -64,6 +75,7 @@ class TestGen:
         echoed = json.loads(capsys.readouterr().out)
         assert echoed["mu"] <= echoed["L"]
         assert 0 <= echoed["lambda2"] < 1
+        assert echoed["gap"] == w.gap and echoed["gap"] >= 1 - echoed["lambda2"]
 
     def test_deterministic_files(self, tmp_path):
         for sub in ("a", "b"):
@@ -135,6 +147,20 @@ class TestRun:
         assert meta["algo"] == "efix-q"
         assert meta["N"] == 6 and meta["n"] == 3
         assert not meta["diverged"]
+        # the gap that eps_s and the Chebyshev interval read, in place of the modulus
+        assert meta["meta"]["gap"] == metropolis_weights(generate_geometric_graph(6, 11)).gap
+        assert "lambda2" not in meta["meta"]
+
+    @pytest.mark.parametrize("algo", ["efix-q", "efix-g", "efix-q-stopping"])
+    def test_two_node_network_runs(self, tmp_path, algo):
+        # W = [[0, 1], [1, 0]]: the modulus lambda2 is 1, the gap 2
+        cfg = base_config(tmp_path, algo=algo, budget={"rounds": 200},
+                          problem={"family": "quadratic", "N": 2, "n": 3, "seed": 2})
+        assert main(["run", "--config", cfg]) == 0
+        rows = read_rows(tmp_path / "trace.csv")
+        assert len(rows) > 1 and float(rows[-1]["error_e"]) < float(rows[0]["error_e"])
+        meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
+        assert meta["meta"]["gap"] == 2.0
 
     def test_unknown_algorithm_is_config_error(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -278,8 +304,22 @@ class TestRun:
         # every 2-node W has the eigenvalue -1
         ({"problem": {"family": "quadratic", "N": 2, "n": 3, "seed": 2},
           "algorithm": {"name": "diging"}}, "DIGing needs lambda2 < 1, got lambda2=1.0"),
+        # a W without a positive gap is refused where it is built, before any algorithm runs
+        *[({"problem": {"family": "quadratic", "N": 4, "n": 3, "seed": 2},
+            "network": {"network_file": f"{{tmp}}/cut-{weight}.network.json"},
+            "algorithm": {"name": algo}}, "mixing matrix has no spectral gap: 1 - lambda_2 = 0.0")
+          for weight in CUT_WEIGHTS for algo in ALGORITHMS],
+        # each problem source takes only the fields it reads
+        ({"problem": {"family": "quadratic", "N": 6, "n": 3, "seed": 2, "mu": 5, "T": 9}},
+         "a quadratic problem takes no field 'mu', 'T'"),
+        ({"problem": {"family": "logistic", "path": "{tmp}/absent.svm", "N": 6, "seed": 1,
+                      "T": 999, "n": 7}}, "a logistic path problem takes no field 'T', 'n'"),
+        ({"problem": dict(LOGISTIC, spectrum=[1, 2]), "network": {"seed": 6},
+          "algorithm": {"name": "efix-g"}}, "a logistic problem takes no field 'spectrum'"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, section, fragment):
+        for weight in CUT_WEIGHTS:
+            (tmp_path / f"cut-{weight}.network.json").write_text(cut_path4_network(weight))
         section = json.loads(json.dumps(section).replace("{tmp}", str(tmp_path)))
         cfg = base_config(tmp_path, **section)
         assert main(["run", "--config", cfg]) == 1

@@ -445,7 +445,7 @@ class TestNetworkScaleInterval:
             # the 2x2 bound of the consensus split, from the Hessians themselves
             h_bar = np.linalg.eigvalsh(H.mean(axis=0))[0]
             eta = max(np.linalg.norm(Hi, 2) for Hi in H)
-            g = mu + sub.theta * (1.0 - sub.w.lambda2)
+            g = mu + sub.theta * sub.w.gap
             lam = np.linalg.eigvalsh(np.array([[h_bar, -eta], [-eta, g]]))[0]
             if lam <= mu:
                 assert plan.a == rayleigh

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from efix import penalty
-from efix.analysis import max_node_error, oracle_logistic, oracle_quadratic
+from efix.analysis import error_e, max_node_error, oracle_logistic, oracle_quadratic
 from efix.penalty import (assemble, assemble_model, chebyshev_plan, chebyshev_step,
                           penalty_gradient, relaxation_bound, relaxed)
 from efix.problems import (QuadraticProblem, constants_for, generate_logistic,
@@ -61,7 +61,7 @@ class TestSchedule:
             assert [rec.s for rec in tr.outer] == [0, 1, 2, 3]
             for rec in tr.outer:
                 assert rec.theta == sched.theta_at(rec.s)
-                assert rec.epsilon == epsilon_balance(sched.theta_at(rec.s), consts, w.lambda2)
+                assert rec.epsilon == epsilon_balance(sched.theta_at(rec.s), consts, w.gap)
 
 
 class TestEpsilonBalance:
@@ -71,7 +71,7 @@ class TestEpsilonBalance:
         return ProblemConstants(L=L, mu=mu, kappa=kappa, J=J, f0=J * J / (2 * L))
 
     def test_hand_value(self):
-        # mu=1, L=1 (kappa=1/2), J=1, lambda2=1/2, theta=2 -> 2 sqrt(3.5) + 1
+        # mu=1, L=1 (kappa=1/2), J=1, gap=1/2, theta=2 -> 2 sqrt(3.5) + 1
         val = epsilon_balance(2.0, self.consts(), 0.5)
         assert val == pytest.approx(2 * math.sqrt(3.5) + 1, rel=1e-15)
 
@@ -85,8 +85,7 @@ class TestEpsilonBalance:
             assert 0.49 < ratio < 0.51
 
     def test_domain_guards(self):
-        with pytest.raises(ValueError):
-            epsilon_balance(2.0, self.consts(), 1.0)
+        # a W without a positive gap is refused where it is built (test_topology)
         with pytest.raises(ValueError):
             epsilon_balance(0.2, self.consts(mu=2.0, L=3.0), 0.5)
 
@@ -296,6 +295,20 @@ class TestEfixQ:
         tr = efix_q(p, w, Schedule(theta0=2 * constants_for(p).L),
                     Budget(scalar_products=40_000))
         assert min(r.error_e for r in tr.records if r.cum_sp_max <= 40_000) <= 1e-4
+
+
+class TestTwoNodeNetwork:
+    """Every 2-node W has the eigenvalue -1 (lambda2 = 1) and the gap 2: EFIX runs on it."""
+
+    @pytest.mark.parametrize("solver", [efix_q, efix_g, efix_q_stopping])
+    def test_reaches_the_oracle(self, solver):
+        p = generate_quadratic(2, 3, 2)
+        w = metropolis_weights(((1,), (0,)))
+        assert w.lambda2 == 1.0 and w.gap == 2.0
+        tr = solver(p, w, Schedule(theta0=2 * constants_for(p).L),
+                    Budget(scalar_products=200_000), record_rounds=False)
+        assert not (tr.diverged or tr.numerical_failure)
+        assert error_e(tr.x_final, oracle_quadratic(p)) <= 1e-6
 
 
 class TestEfixQStopping:

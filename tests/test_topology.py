@@ -120,13 +120,39 @@ class TestSpectralGap:
         # two nodes joined by one edge: W = [[0,1],[1,0]], eigenvalues {1,-1}
         w = metropolis_weights(((1,), (0,)))
         assert w.lambda2 == 1.0
+        # while I - W = [[1, -1], [-1, 1]] has the eigenvalues {0, 2}
+        assert w.gap == 2.0
 
     def test_four_cycle_returns_one(self):
         # w_ij = 1/max(d_i, d_j) = 1/2 on every edge, w_ii = 0: W has the eigenvalue -1
-        # (x = (1, -1, 1, -1)), so the modulus lambda2 is exactly 1, not below it
+        # (x = (1, -1, 1, -1)), so the modulus lambda2 is exactly 1, not below it;
+        # the spectrum is {1, 0, 0, -1}, so the signed lambda_2 is 0 and the gap 1
         w = metropolis_weights(((1, 3), (0, 2), (1, 3), (0, 2)))
         assert w.lambda2 == 1.0
+        assert w.gap == pytest.approx(1.0, abs=1e-15)
         assert metropolis_weights(path3()).lambda2 < 1.0
+
+    def test_gap_never_below_one_minus_the_modulus(self):
+        # equal bits whenever the modulus is the signed lambda_2, ev[-2]
+        signed = 0
+        for N in (3, 4, 5, 6, 10, 20, 30):
+            for seed in range(1, 9):
+                w = metropolis_weights(generate_geometric_graph(N, seed))
+                ev = np.linalg.eigvalsh(w.to_dense())
+                assert w.gap == float(1.0 - ev[-2]) and w.gap >= 1.0 - w.lambda2
+                if abs(ev[0]) < ev[-2]:
+                    assert w.gap == 1.0 - w.lambda2
+                    signed += 1
+        assert 0 < signed < 7 * 8
+
+    @pytest.mark.parametrize("weight", [0.0, 1e-17, 1e-300])
+    def test_no_gap_is_refused_where_built(self, weight):
+        # the path 0-1-2-3 whose middle edge weighs (almost) nothing: W's eigenvalue 1 is double
+        text = json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+                           "weights": [[0, 1, 0.5], [1, 2, weight], [2, 3, 0.5]],
+                           "diag": [0.5, 0.5 - weight, 0.5 - weight, 0.5]})
+        with pytest.raises(ValueError, match=r"no spectral gap: 1 - lambda_2 = 0\.0"):
+            mixing_from_json(text)
 
 
 class TestNeighborTable:
@@ -229,7 +255,7 @@ class TestSerialization:
         assert np.array_equal(w2.idx, w.idx)
         for mine, ref in ((w2.wt, w.wt), (w2.diag, w.diag)):
             assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
-        assert w2.lambda2 == w.lambda2
+        assert w2.lambda2 == w.lambda2 and w2.gap == w.gap
         # the serialized form is stable under a reload cycle
         assert network_to_json(w2) == text
 
@@ -262,7 +288,7 @@ class TestStackedSetup:
         for i, ws in enumerate(off):
             W[i, list(g[i])] = ws
         ev = np.linalg.eigvalsh(W)
-        return off, diag, float(max(abs(ev[0]), abs(ev[-2])))
+        return off, diag, float(max(abs(ev[0]), abs(ev[-2]))), float(1.0 - ev[-2])
 
     def test_geometric_edges(self):
         rng = np.random.default_rng(12)
@@ -279,10 +305,10 @@ class TestStackedSetup:
         graphs += [generate_geometric_graph(N, seed) for N in (7, 30, 100) for seed in range(4)]
         for g in graphs:
             w = metropolis_weights(g)
-            off, diag, lambda2 = self.loop_metropolis(g)
+            off, diag, lambda2, gap = self.loop_metropolis(g)
             assert len(w.off_diag) == len(g)
             for mine, ref in zip(w.off_diag, off):
                 assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
             assert np.array_equal(w.diag.view(np.int64), diag.view(np.int64))
-            assert w.lambda2 == lambda2 and w.w_bar == float(diag.max())
+            assert w.lambda2 == lambda2 and w.gap == gap and w.w_bar == float(diag.max())
         assert max(len(graphs[-1][i]) for i in range(100)) > 8
