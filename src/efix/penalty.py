@@ -130,15 +130,18 @@ def jor_local_update(M_self, p, dinv, qtheta, neighbor_ids, neighbor_weights,
     return acc
 
 
-def jor_step(Z, sub: PenaltySubproblem):
+def jor_step(Z, sub: PenaltySubproblem, out=None, wsum=None):
     """One synchronous JOR sweep M z + p over the (N, n) node blocks Z.
 
     Each node's terms are added in the order ``jor_local_update`` adds
-    them, so row i equals that node update bit for bit.
+    them, so row i equals that node update bit for bit.  The sweep is
+    written to ``out`` and the neighbor sums to the scratch ``wsum``:
+    (N, n) C-ordered arrays distinct from Z and each other, or None for
+    fresh ones.
     """
-    wsum = gather(sub.w, Z)
-    # acc + (q theta) (dinv wsum), in place on the two fresh buffers
-    acc = np.matmul(sub.M_self, Z[..., None])[..., 0]
+    wsum = gather(sub.w, Z, out=wsum)
+    # acc + (q theta) (dinv wsum), in place on the two buffers
+    acc = np.matmul(sub.M_self, Z[..., None], out=None if out is None else out[..., None])[..., 0]
     acc += sub.p
     wsum *= sub.dinv
     wsum *= sub.q * sub.theta
@@ -272,12 +275,13 @@ def chebyshev_combine(omega, y, z_prev):
     return omega * (y - z_prev) + z_prev
 
 
-def chebyshev_step(Z, Z_prev, sweep: PenaltySubproblem, omega):
+def chebyshev_step(Z, Z_prev, sweep: PenaltySubproblem, omega, out=None, wsum=None):
     """One Chebyshev round over (N, n) node blocks; ``sweep`` is relaxed to the plan's q.
 
-    ``chebyshev_combine``'s operations, in place on the sweep's fresh result.
+    ``chebyshev_combine``'s operations, in place on the sweep's result,
+    which ``jor_step`` writes to ``out`` (distinct from Z and Z_prev too).
     """
-    Y = jor_step(Z, sweep)
+    Y = jor_step(Z, sweep, out, wsum)
     Y -= Z_prev
     Y *= omega
     Y += Z_prev

@@ -14,6 +14,8 @@ The ledger meters the abstract cost model: computation in scalar products
 length n sent per edge per direction.
 """
 
+import operator
+
 import numpy as np
 
 
@@ -32,35 +34,51 @@ class NodeRuntime:
 class CostLedger:
     """Nondecreasing per-node scalar-product and vectors-sent counters.
 
-    A scalar-product charge is an int or an integer per-node array; it is
-    added in place, so a fractional charge raises instead of truncating.
-    ``max_sp`` is the int ``max(sp)``, kept up to date by every charge.
+    A scalar-product charge is an int or an integer per-node array.  An
+    int is the same at every node, so it is kept as a Python int offset
+    that moves ``max_sp`` by exactly that charge; an array is added in
+    place to the ``int64`` per-node part, so a fractional charge raises
+    instead of truncating, and ``max_sp`` is recomputed.  Every node sends
+    the same number of vectors to each neighbor, so ``sent`` is that count
+    times the degrees.  ``sp`` and ``sent`` are fresh arrays built on read.
     """
 
     def __init__(self, degrees):
         self.degrees = np.asarray(degrees, dtype=np.int64)
-        self.sp = np.zeros(len(self.degrees), dtype=np.int64)
-        self.sent = np.zeros(len(self.degrees), dtype=np.int64)
+        self._degree_sum = int(self.degrees.sum())
+        self._sp_nodes = np.zeros(len(self.degrees), dtype=np.int64)
+        self._sp_offset = 0
+        self._vectors = 0
         self.rounds = 0
         self.max_sp = 0
 
     def charge_round(self, sp_per_node, vectors_per_neighbor):
+        # a fractional vector count raises before any charge is made
+        vectors = operator.index(vectors_per_neighbor)
         self.charge_local(sp_per_node)
-        self.sent += vectors_per_neighbor * self.degrees
+        self._vectors += vectors
         self.rounds += 1
 
     def charge_local(self, sp_per_node):
         """Computation outside rounds (e.g. re-linearization at an outer step)."""
-        self.sp += sp_per_node
         if isinstance(sp_per_node, (int, np.integer)):
-            # the same charge at every node moves the maximum by exactly that
+            self._sp_offset += int(sp_per_node)
             self.max_sp += int(sp_per_node)
         else:
-            self.max_sp = int(self.sp.max())
+            self._sp_nodes += sp_per_node
+            self.max_sp = int(self._sp_nodes.max()) + self._sp_offset
+
+    @property
+    def sp(self):
+        return self._sp_nodes + self._sp_offset
+
+    @property
+    def sent(self):
+        return self._vectors * self.degrees
 
     @property
     def total_sent(self):
-        return int(self.sent.sum())
+        return self._vectors * self._degree_sum
 
 
 def collect_payloads(nodes, keys):

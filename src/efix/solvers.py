@@ -27,6 +27,8 @@ from . import analysis, penalty, problems, simnet
 from .topology import gather
 
 DIVERGENCE_CEILING = 1e12
+# a sum of squares at most this leaves every row norm below the ceiling
+_SAFE_SQUARE_SUM = 0.5 * DIVERGENCE_CEILING ** 2
 
 
 @dataclass(frozen=True)
@@ -179,16 +181,30 @@ def cbar(problem):
 def _round_fault(Z):
     """The ``Trace`` flag that a round's (N, n) iterate raises, or None.
 
-    ``m = max_i ||Z_i||^2`` from the row sums ``np.linalg.norm`` takes, so
-    while m is finite, Z is finite and ``sqrt(m)`` is bitwise the largest
-    row norm: the run has diverged iff it exceeds the ceiling.  An
-    infinite or NaN m is a NaN or inf in Z (``numerical_failure``) or else
-    a row whose squares overflow, whose norm is inf (``diverged``).
+    One dot product first: the computed sum of all squares is within a
+    relative Nn eps of the true sum, which bounds every row's squared norm,
+    so a sum at most half the squared ceiling leaves every row norm below
+    it.  A NaN or inf in Z makes the sum NaN or inf, which the comparison
+    sends on to the exact test, as it does any larger sum.
+
+    The exact test takes ``m = max_i ||Z_i||^2`` from the row sums
+    ``np.linalg.norm`` takes, so while m is finite, Z is finite and
+    ``sqrt(m)`` is bitwise the largest row norm: the run has diverged iff
+    it exceeds the ceiling.  An infinite or NaN m is a NaN or inf in Z
+    (``numerical_failure``) or else a row whose squares overflow, whose
+    norm is inf (``diverged``).
     """
+    if np.vdot(Z, Z) <= _SAFE_SQUARE_SUM:
+        return None
     m = float(np.add.reduce(Z * Z, axis=1).max())
     if math.isfinite(m):
         return "diverged" if math.sqrt(m) > DIVERGENCE_CEILING else None
     return "diverged" if np.isfinite(Z).all() else "numerical_failure"
+
+
+def _all_finite(U):
+    """``np.isfinite(U).all()``, from one dot product while its sum of squares is finite."""
+    return math.isfinite(np.vdot(U, U)) or bool(np.isfinite(U).all())
 
 
 def _emit(run, X, s=0, theta=None, eps=None):
@@ -233,8 +249,9 @@ _StageSetup = namedtuple("_StageSetup", "s theta eps sub plan")
 class _Run:
     """The set-up and bookkeeping that all four solvers share.
 
-    ``Z`` is the (N, n) iterate, from ``x0`` of that shape or else zeros, and ``fault``
-    the ``_round_fault`` that stops the run; ``finish`` flags it and sets ``x_final``.
+    ``Z`` is the (N, n) iterate: a C-ordered copy of ``x0`` of that shape, or else zeros,
+    so the stages' round buffers are C-ordered too.  ``fault`` is the ``_round_fault``
+    that stops the run; ``finish`` flags it and sets ``x_final``.
     """
 
     def __init__(self, problem, w, algo, oracle, x0, record_rounds, meta):
@@ -244,7 +261,7 @@ class _Run:
         self.problem, self.w, self.record_rounds = problem, w, record_rounds
         self.oracle = oracle or analysis.solve_reference(problem)
         self.W_dense = w.to_dense()
-        self.Z = np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float)
+        self.Z = np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float, order="C")
         if self.Z.shape != (N, n):
             raise ValueError(f"x0 must be ({N}, {n}) node blocks, got shape {self.Z.shape}")
         self.ledger = simnet.CostLedger(w.degrees())
@@ -294,11 +311,13 @@ def _stage(run, budget, st, done, k_planned=None):
     s, theta, eps, sub, plan = st
     sweep = penalty.relaxed(sub, plan.q)
     ledger, record, sp_round = run.ledger, run.record_rounds, 2 * sub.dim + 3
-    Z = Z_prev = run.Z
+    # three iterate buffers: each round writes the spare, the iterate of two rounds back
+    Z, Z_prev, spare, wsum = run.Z, run.Z.copy(), np.empty_like(run.Z), np.empty_like(run.Z)
     _emit(run, Z, s, theta, eps)
     k, fault = 0, None
     while fault is None and not done(k, Z) and not budget.exhausted(ledger):
-        Z, Z_prev = penalty.chebyshev_step(Z, Z_prev, sweep, plan.weight(k)), Z
+        Y = penalty.chebyshev_step(Z, Z_prev, sweep, plan.weight(k), spare, wsum)
+        Z, Z_prev, spare = Y, Z, Z_prev
         ledger.charge_round(sp_round, 1)
         k += 1
         if record:
@@ -444,6 +463,6 @@ def diging(problem, w, alpha, budget: Budget, variant=None, oracle=None,
         ledger.charge_round(sp_round, 2)
         if record_rounds:
             _emit(run, X)
-        fault = "numerical_failure" if not np.isfinite(U).all() else _round_fault(X)
+        fault = "numerical_failure" if not _all_finite(U) else _round_fault(X)
     run.Z, run.fault = X, fault
     return run.finish()

@@ -30,7 +30,8 @@ class MixingMatrix:
     ``diag[i]`` is w_ii.  ``w_bar`` is max_i w_ii, ``lambda2`` the second
     largest eigenvalue modulus of W (for averaging and DIGing), and ``gap``
     the least nonzero eigenvalue 1 - lambda_2 of I - W, lambda_2 signed (for
-    the penalty stages).  No W without a positive gap is built.
+    the penalty stages).  No W whose gap is at most N eps, below what its
+    eigenvalues resolve, is built.
 
     ``idx`` and ``wt`` are the same weights as a read-only (N, dmax)
     neighbor table, dmax the largest degree: row i lists
@@ -203,8 +204,12 @@ def _build_mixing(neighbor_lists, off, diag):
     idx, wt = _neighbor_table(neighbor_lists, off)
     ev = np.linalg.eigvalsh(_dense(idx, wt, diag))   # ascending; ev[-1] is the Perron 1
     gap = float(1.0 - ev[-2])
-    if not gap > 0:
-        raise ValueError(f"mixing matrix has no spectral gap: 1 - lambda_2 = {gap}")
+    # eigvalsh's eigenvalues of W (||W||_2 = 1) are exact only to rounding of order N eps,
+    # so a gap at that level could be zero
+    bound = len(neighbor_lists) * np.finfo(float).eps
+    if not gap > bound:
+        raise ValueError(f"mixing matrix has no spectral gap: 1 - lambda_2 = {gap} is at most "
+                         f"N eps = {bound}, the rounding level of W's eigenvalues")
     return MixingMatrix(len(neighbor_lists), neighbor_lists, tuple(off), diag, float(diag.max()),
                         float(max(abs(ev[0]), abs(ev[-2]))), gap, idx=idx, wt=wt)
 
@@ -229,7 +234,7 @@ def metropolis_weights(nbrs) -> MixingMatrix:
     return _build_mixing(nbrs, off, diag)
 
 
-def gather(w: MixingMatrix, Z, weights=None, acc=None):
+def gather(w: MixingMatrix, Z, weights=None, acc=None, out=None):
     """acc_i + sum_k weights[k, i] Z[idx[i, k]] for every node i at once.
 
     ``Z`` is an (N, n) block array and ``weights`` the neighbor table's
@@ -241,7 +246,8 @@ def gather(w: MixingMatrix, Z, weights=None, acc=None):
     ``((acc_i + t_0) + t_1) + ...``,
     the same sum in the same order as a loop over ``neighbor_lists[i]``.
     Row i reads only rows of Z in node i's neighborhood.  Neither ``Z``
-    nor ``acc`` is modified.
+    nor ``acc`` is modified.  The sums go into ``out``, an (N, n) array,
+    when one is given, and into a fresh array otherwise.
     """
     Z = np.asarray(Z)
     terms = Z.take(w.slot_idx, axis=0)
@@ -249,7 +255,7 @@ def gather(w: MixingMatrix, Z, weights=None, acc=None):
     if acc is not None:
         # acc + t_0 and t_0 + acc are the same IEEE sum
         terms[0] += acc
-    return np.add.reduce(terms, axis=0)
+    return np.add.reduce(terms, axis=0, out=out)
 
 
 def network_to_json(w: MixingMatrix) -> str:

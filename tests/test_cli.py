@@ -40,6 +40,8 @@ def path3_network(n=3, edges=([0, 1], [1, 2]), weights=([0, 1, 0.5], [1, 2, 0.5]
 
 # middle-edge weights of the path 0-1-2-3 that leave W's eigenvalue 1 double (gap 0.0)
 CUT_WEIGHTS = (0, 1e-17)
+# a middle weight whose gap 2.2e-16 is below what eigvalsh resolves
+ROUNDING_WEIGHT = 1e-16
 
 
 def cut_path4_network(weight):
@@ -316,9 +318,14 @@ class TestRun:
                       "T": 999, "n": 7}}, "a logistic path problem takes no field 'T', 'n'"),
         ({"problem": dict(LOGISTIC, spectrum=[1, 2]), "network": {"seed": 6},
           "algorithm": {"name": "efix-g"}}, "a logistic problem takes no field 'spectrum'"),
+        *[({"problem": {"family": "quadratic", "N": 4, "n": 3, "seed": 2},
+            "network": {"network_file": f"{{tmp}}/cut-{ROUNDING_WEIGHT}.network.json"},
+            "algorithm": {"name": algo}},
+           "mixing matrix has no spectral gap: 1 - lambda_2 = 2.220446049250313e-16 is at most "
+           "N eps = 8.881784197001252e-16") for algo in ALGORITHMS],
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, section, fragment):
-        for weight in CUT_WEIGHTS:
+        for weight in CUT_WEIGHTS + (ROUNDING_WEIGHT,):
             (tmp_path / f"cut-{weight}.network.json").write_text(cut_path4_network(weight))
         section = json.loads(json.dumps(section).replace("{tmp}", str(tmp_path)))
         cfg = base_config(tmp_path, **section)

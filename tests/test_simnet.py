@@ -105,6 +105,50 @@ class TestLedger:
             assert ledger.max_sp == int(ledger.sp.max())
         assert ledger.max_sp == 62
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_an_eager_int64_ledger(self, seed):
+        rng = np.random.default_rng(seed)
+        degrees = rng.integers(1, 6, size=7)
+        ledger = CostLedger(degrees)
+        # the reference: every charge added at once to int64 per-node arrays
+        sp = np.zeros(7, dtype=np.int64)
+        sent = np.zeros(7, dtype=np.int64)
+        rounds = 0
+        for _ in range(200):
+            kind = rng.integers(4)
+            if kind == 0:
+                charge = int(rng.integers(0, 50))
+            elif kind == 1:
+                charge = np.int64(rng.integers(0, 50))
+            else:
+                charge = rng.integers(0, 50, size=7, dtype=np.int64)
+            if rng.integers(3):
+                vectors = int(rng.integers(1, 3))
+                ledger.charge_round(charge, vectors)
+                sent += vectors * degrees
+                rounds += 1
+            else:
+                ledger.charge_local(charge)
+            sp += charge
+            np.testing.assert_array_equal(ledger.sp, sp)
+            np.testing.assert_array_equal(ledger.sent, sent)
+            assert type(ledger.max_sp) is int and ledger.max_sp == int(sp.max())
+            assert type(ledger.total_sent) is int and ledger.total_sent == int(sent.sum())
+            assert ledger.rounds == rounds
+        # the counts are read-only views of the ledger: writing to one changes nothing
+        ledger.sp[:] = 0
+        np.testing.assert_array_equal(ledger.sp, sp)
+        with pytest.raises(TypeError):
+            ledger.charge_round(np.full(7, 0.5), 1)
+        np.testing.assert_array_equal(ledger.sp, sp)
+        assert ledger.rounds == rounds
+        # a vector count is an integer too, and a refused round charges nothing
+        with pytest.raises(TypeError):
+            ledger.charge_round(1, 1.5)
+        np.testing.assert_array_equal(ledger.sp, sp)
+        np.testing.assert_array_equal(ledger.sent, sent)
+        assert ledger.max_sp == int(sp.max()) and ledger.rounds == rounds
+
 
 class TestGather:
     def test_concatenation_order(self):

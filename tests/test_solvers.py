@@ -541,6 +541,55 @@ class TestRoundGuard:
         assert [two_checks(Z) for Z in cases] == expected
         assert [_round_fault(Z) for Z in cases] == expected
 
+    @staticmethod
+    def edge_cases():
+        """(N, 4) iterates around the one-dot-product bound and the ceiling."""
+        rng = np.random.default_rng(12)
+        cases = []
+        for top in (DIVERGENCE_CEILING, np.nextafter(DIVERGENCE_CEILING, np.inf),
+                    np.nextafter(DIVERGENCE_CEILING, 0.0)):
+            Z = rng.standard_normal((6, 4))
+            Z[3] = [0.0, top, 0.0, 0.0]
+            cases.append(Z)
+        # every row below the ceiling, the sum of squares just above 0.5e24 or at most it
+        bound = 0.5 * DIVERGENCE_CEILING ** 2
+        for N in (2, 8, 500):
+            for scale in (1.0 + 1e-15, 1.0 + 1e-9, 1.5, 1.0, 1.0 - 1e-15):
+                Z = rng.standard_normal((N, 4))
+                Z *= math.sqrt(bound * scale) / np.linalg.norm(Z)
+                cases.append(Z)
+        # one row holds nearly the whole sum: a norm of 7.07e11, under the ceiling
+        Z = np.zeros((3, 4))
+        Z[1, 0] = math.sqrt(bound)
+        cases.append(Z)
+        for bad in (np.nan, np.inf, -np.inf, 1e200, 1e160, -1e155):
+            Z = rng.standard_normal((6, 4))
+            Z[4, 1] = bad
+            cases.append(Z)
+        Z = rng.standard_normal((6, 4))
+        Z[0, 0], Z[5, 3] = np.inf, -np.inf
+        cases.append(Z)
+        # rows with finite squared norms 3.6e307 whose sum overflows
+        Z = np.zeros((6, 4))
+        Z[:, 0] = 6e153
+        cases.append(Z)
+        return cases
+
+    @np.errstate(over="ignore")
+    def test_edge_cases_equal_the_two_checks(self):
+        cases = self.edge_cases()
+        got = [_round_fault(Z) for Z in cases]
+        assert got == [two_checks(Z) for Z in cases]
+        assert got[:3] == [None, "diverged", None]
+        assert set(got) == {None, "diverged", "numerical_failure"}
+
+    @np.errstate(over="ignore")
+    def test_tracker_check_equals_isfinite(self):
+        cases = self.edge_cases()
+        got = [solvers._all_finite(U) for U in cases]
+        assert got == [bool(np.isfinite(U).all()) for U in cases]
+        assert True in got and False in got
+
     def guarded_start(self, x0, solve=efix_q_stopping, logistic=False):
         p, w, consts = random_setup(21, N=5, n=2)
         if logistic:
@@ -630,6 +679,46 @@ class TestIterateLayout:
         expected = r"x0 must be \(6, 2\) node blocks, got shape \(12,\)"
         with pytest.raises(ValueError, match=expected):
             self.solve(solver, x0=np.zeros(12))
+
+
+class TestStageBuffers:
+    """``_stage`` writes its rounds into buffers of its own, which no caller holds."""
+
+    @pytest.mark.parametrize("solver", [efix_q, efix_g, efix_q_stopping])
+    def test_caller_x0_is_unchanged(self, solver):
+        p, w, consts = random_setup(29, N=6, n=2)
+        # far from the optimum, so that efix_q_stopping's first stage runs rounds too
+        x0 = 1e3 * np.random.default_rng(3).standard_normal((6, 2))
+        kept = x0.copy()
+        tr = solver(p, w, Schedule(theta0=2 * consts.L), Budget(outer=3), x0=x0)
+        assert len(tr.outer) == 3 and tr.outer[0].k_run >= 3
+        assert np.array_equal(x0, kept)
+
+    def test_x_final_outlives_later_runs(self):
+        p, w, consts = random_setup(29, N=6, n=2)
+        sched = Schedule(theta0=2 * consts.L)
+        first = efix_q(p, w, sched, Budget(rounds=40))
+        kept = first.x_final.copy()
+        efix_q(p, w, sched, Budget(rounds=40), x0=first.x_final)
+        efix_q(p, w, sched, Budget(rounds=45))
+        assert np.array_equal(first.x_final, kept)
+
+    @pytest.mark.parametrize("N", [30, 100])
+    def test_rounds_equal_an_allocating_loop(self, monkeypatch, N):
+        p, w, consts = random_setup(31, N=N, n=10)
+        x0 = np.random.default_rng(4).standard_normal((N, 10))
+        budget = Budget(rounds=500)
+        run = solvers._Run(p, w, "efix-q", None, x0, True, {})
+        st = next(solvers._stages(run, consts, Schedule(theta0=2 * consts.L), budget))
+        emitted = []
+        monkeypatch.setattr(solvers, "_emit", lambda run, X, *args: emitted.append(X.copy()))
+        solvers._stage(run, budget, st, lambda k, Z: False)
+        assert run.fault is None and len(emitted) == 501
+        sweep = relaxed(st.sub, st.plan.q)
+        Z = Z_prev = x0
+        for k, X in enumerate(emitted):
+            assert np.array_equal(X, Z)
+            Z, Z_prev = chebyshev_step(Z, Z_prev, sweep, st.plan.weight(k)), Z
 
 
 class TestChebyshevRound:

@@ -145,14 +145,26 @@ class TestSpectralGap:
                     signed += 1
         assert 0 < signed < 7 * 8
 
-    @pytest.mark.parametrize("weight", [0.0, 1e-17, 1e-300])
-    def test_no_gap_is_refused_where_built(self, weight):
+    @staticmethod
+    def cut_path4(weight):
         # the path 0-1-2-3 whose middle edge weighs (almost) nothing: W's eigenvalue 1 is double
-        text = json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+        return json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]],
                            "weights": [[0, 1, 0.5], [1, 2, weight], [2, 3, 0.5]],
                            "diag": [0.5, 0.5 - weight, 0.5 - weight, 0.5]})
+
+    @pytest.mark.parametrize("weight", [0.0, 1e-17, 1e-300])
+    def test_no_gap_is_refused_where_built(self, weight):
         with pytest.raises(ValueError, match=r"no spectral gap: 1 - lambda_2 = 0\.0"):
-            mixing_from_json(text)
+            mixing_from_json(self.cut_path4(weight))
+
+    def test_rounding_level_gap_is_refused(self):
+        # a gap of one ulp of 1 is below the N eps = 4 eps that eigvalsh resolves
+        expected = (r"no spectral gap: 1 - lambda_2 = 2\.220446049250313e-16 is at most "
+                    r"N eps = 8\.881784197001252e-16")
+        with pytest.raises(ValueError, match=expected):
+            mixing_from_json(self.cut_path4(1e-16))
+        w = mixing_from_json(self.cut_path4(1e-12))
+        assert 4 * np.finfo(float).eps < w.gap == pytest.approx(1e-12, rel=1e-3)
 
 
 class TestNeighborTable:
