@@ -93,22 +93,38 @@ def solve_reference(problem) -> OracleSolution:
 
 
 def _node_distances(X, oracle: OracleSolution):
-    """||X_i - y*|| per node block, by the steps ``np.linalg.norm(..., axis=1)`` takes."""
+    """||X_i - y*|| per node block, by the steps ``np.linalg.norm(..., axis=-1)`` takes."""
     D = X - oracle.y_star
-    return np.sqrt(np.add.reduce(D * D, axis=1))
+    return np.sqrt(np.add.reduce(D * D, axis=-1))
 
 
-def error_e(X, oracle: OracleSolution) -> float:
-    """Average relative distance of the (N, n) node blocks X to the oracle solution."""
-    ynorm = oracle.y_norm
-    if ynorm == 0:
+def _node_mean(vals):
+    """The mean over the last (node) axis as ``np.mean`` takes it: the sum, then / N."""
+    return np.add.reduce(vals, axis=-1) / vals.shape[-1]
+
+
+def relative_scale(oracle: OracleSolution):
+    """||y*||, which ``error_e`` divides by; a zero solution leaves it undefined."""
+    if oracle.y_norm == 0:
         raise ValueError("oracle solution is zero; relative error undefined")
-    return float(np.mean(_node_distances(X, oracle)) / ynorm)
+    return oracle.y_norm
 
 
-def error_v(X, problem) -> float:
+def error_e(X, oracle: OracleSolution):
+    """Average relative distance of node blocks to the oracle solution.
+
+    X is one (N, n) iterate, giving a float, or an (R, N, n) block of R
+    iterates, giving a list of R floats, each bitwise the one-iterate value.
+    """
+    return (_node_mean(_node_distances(X, oracle)) / relative_scale(oracle)).tolist()
+
+
+def error_v(X, problem):
     """Average global objective across the nodes' estimates, the rows of X.
 
+    X is one (N, n) iterate, giving a float, or an (R, N, n) block of R
+    iterates, giving a list of R floats, each bitwise the one-iterate value:
+    the stacked ``matmul`` calls run one GEMM or GEMV per iterate.
     Vectorized over nodes (an N x N sweep otherwise dominates per-round
     trace collection); agrees with averaging ``global_objective`` directly.
     A quadratic objective is evaluated in its expanded form, O(n^2) per
@@ -116,23 +132,30 @@ def error_v(X, problem) -> float:
     """
     if problem.family == "quadratic":
         H, r, f0 = problem.expanded_objective
-        vals = 0.5 * ((X @ H) * X).sum(axis=1) - X @ r + f0
+        vals = 0.5 * np.add.reduce(np.matmul(X, H) * X, axis=-1) - np.matmul(X, r) + f0
     else:
         # margins t = zeta * (D x); logaddexp(0, -t) = max(-t, 0) + log1p(exp(-|t|))
         # takes numpy's own branches through its vectorised exp and log1p
         # loops.  Every label is +-1, so s = (-zeta D) x is bitwise -t and
-        # |s| = |t|; both (T, N) buffers are the problem's, reused per call
+        # |s| = |t|; both (T, N) buffers are the problem's, reused per
+        # iterate.  One iterate at a time: a stacked (T, R N) layout gave
+        # the same bits but was no faster and needs R times the buffers
         signed, s, loss = problem.error_v_workspace
-        np.matmul(signed, X.T, out=s)
-        np.maximum(s, 0.0, out=loss)
-        np.abs(s, out=s)
-        np.negative(s, out=s)
-        np.exp(s, out=s)
-        np.log1p(s, out=s)
-        loss += s
-        vals = loss.sum(axis=0) \
-            + problem.node_count * 0.5 * problem.mu * (X * X).sum(axis=1)
-    return float(np.mean(vals))
+        regularizer = problem.node_count * 0.5 * problem.mu
+        blocks = X.reshape(-1, *X.shape[-2:])   # one iterate is a block of one
+        vals = np.empty(blocks.shape[:2])
+        for x, out in zip(blocks, vals):
+            np.matmul(signed, x.T, out=s)
+            np.maximum(s, 0.0, out=loss)
+            np.abs(s, out=s)
+            np.negative(s, out=s)
+            np.exp(s, out=s)
+            np.log1p(s, out=s)
+            loss += s
+            np.add(np.add.reduce(loss, axis=0), regularizer * np.add.reduce(x * x, axis=1),
+                   out=out)
+        vals = vals.reshape(X.shape[:-1])
+    return _node_mean(vals).tolist()
 
 
 def max_node_error(X, oracle: OracleSolution) -> float:

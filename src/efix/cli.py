@@ -160,12 +160,30 @@ def resolve_budget(cfg):
                           scalar_products=spec.get("scalar_products"))
 
 
+def _cells(values):
+    """``_fmt`` of each value, once per run of the same object, as a stage's rows share theta.
+
+    ``repr`` or ``str`` alone give ``_fmt``'s text where every value is a float or an int.
+    """
+    kinds = set(map(type, values))
+    fmt = repr if kinds == {float} else str if kinds == {int} else _fmt
+    cells, last, cell = [], object(), ""
+    for v in values:
+        if v is not last:
+            last, cell = v, fmt(v)
+        cells.append(cell)
+    return cells
+
+
 def write_trace_csv(trace, path):
+    """The records as CSV text, built column by column as one string and written once.
+
+    No cell needs quoting, so the text equals ``csv.writer``'s.
+    """
+    columns = [_cells([getattr(r, c) for r in trace.records]) for c in TRACE_COLUMNS]
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(TRACE_COLUMNS)
-        for r in trace.records:
-            out.writerow([_fmt(getattr(r, c)) for c in TRACE_COLUMNS])
+        fh.write("".join([",".join(TRACE_COLUMNS), "\n",
+                          *(",".join(row) + "\n" for row in zip(*columns))]))
 
 
 def write_sidecar(trace, cfg, path):

@@ -27,6 +27,8 @@ from . import analysis, penalty, problems, simnet
 from .topology import gather
 
 DIVERGENCE_CEILING = 1e12
+# trace rows queued before their metrics are evaluated as one block
+ROW_RING = 16
 # a sum of squares at most this leaves every row norm below the ceiling
 _SAFE_SQUARE_SUM = 0.5 * DIVERGENCE_CEILING ** 2
 
@@ -208,15 +210,41 @@ def _all_finite(U):
 
 
 def _emit(run, X, s=0, theta=None, eps=None):
-    """Append (N, n) iterate X's trace row at the run's costs; DIGing's rows keep the defaults."""
-    residual = float(np.linalg.norm(X - run.W_dense @ X))
-    run.trace.records.append(analysis.TraceRecord(
-        round=run.ledger.rounds, outer_s=s, theta=theta, epsilon=eps,
-        error_e=analysis.error_e(X, run.oracle),
-        error_v=analysis.error_v(X, run.problem),
-        consensus_residual=residual,
-        cum_sp_max=run.ledger.max_sp,
-        cum_vectors_sent=run.ledger.total_sent))
+    """Queue (N, n) iterate X's trace row at the run's costs; DIGing's rows keep the defaults.
+
+    X is copied into the run's row ring, which ``_flush`` empties once it is full.
+    """
+    k = len(run.queued)
+    run.ring[k] = X
+    run.queued.append((run.ledger.rounds, s, theta, eps, run.ledger.max_sp,
+                       run.ledger.total_sent))
+    if k + 1 == ROW_RING:
+        _flush(run)
+
+
+def _flush(run):
+    """Evaluate the queued rows a block at a time and append their records in row order.
+
+    The consensus residual ``||X - W X||`` is the dense product per row
+    (``matmul`` runs one GEMM per ring slot) and the ddot that
+    ``np.linalg.norm`` takes, as ``vecdot`` over the flattened rows.
+    """
+    k = len(run.queued)
+    if not k:
+        return
+    Xs = run.ring[:k]
+    A = np.matmul(run.W_dense, Xs, out=run.ring_scratch[:k])
+    np.subtract(Xs, A, out=A)
+    flat = A.reshape(k, -1)
+    residuals = np.vecdot(flat, flat).tolist()
+    rows = zip(run.queued, analysis.error_e(Xs, run.oracle),
+               analysis.error_v(Xs, run.problem), residuals)
+    run.trace.records.extend(
+        analysis.TraceRecord(round=rnd, outer_s=s, theta=theta, epsilon=eps, error_e=e,
+                             error_v=v, consensus_residual=math.sqrt(r), cum_sp_max=sp,
+                             cum_vectors_sent=sent)
+        for (rnd, s, theta, eps, sp, sent), e, v, r in rows)
+    run.queued.clear()
 
 
 def _efix_node_blocks(sub, w, i):
@@ -251,7 +279,10 @@ class _Run:
 
     ``Z`` is the (N, n) iterate: a C-ordered copy of ``x0`` of that shape, or else zeros,
     so the stages' round buffers are C-ordered too.  ``fault`` is the ``_round_fault``
-    that stops the run; ``finish`` flags it and sets ``x_final``.
+    that stops the run; ``finish`` flags it and sets ``x_final``.  ``_emit`` copies each
+    row's iterate into the (ROW_RING, N, n) ``ring`` and its round, stage and costs into
+    ``queued``; ``_flush`` evaluates them when the ring is full, at the end of every
+    stage and in ``finish``, so every returned trace holds all of its rows.
     """
 
     def __init__(self, problem, w, algo, oracle, x0, record_rounds, meta):
@@ -260,7 +291,11 @@ class _Run:
             raise ValueError("network and problem disagree on the node count")
         self.problem, self.w, self.record_rounds = problem, w, record_rounds
         self.oracle = oracle or analysis.solve_reference(problem)
+        # every row's error_e divides by ||y*||: refuse a zero y* before any round
+        analysis.relative_scale(self.oracle)
         self.W_dense = w.to_dense()
+        self.ring, self.ring_scratch = np.empty((2, ROW_RING, N, n))
+        self.queued = []
         self.Z = np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float, order="C")
         if self.Z.shape != (N, n):
             raise ValueError(f"x0 must be ({N}, {n}) node blocks, got shape {self.Z.shape}")
@@ -270,6 +305,7 @@ class _Run:
         self.fault = None
 
     def finish(self):
+        _flush(self)
         if self.fault:
             setattr(self.trace, self.fault, True)
         self.trace.x_final = self.Z
@@ -287,18 +323,24 @@ def _stages(run, consts, sched, budget):
     """A ``_StageSetup`` for each penalty stage that the budget allows, until a round faults.
 
     ``sub`` is the model's subproblem at the current iterate; on the general
-    family its re-linearization is charged before the stage's first row.
+    family its re-linearization is charged before the stage's first row.  A
+    quadratic's model does not depend on the iterate, so a stage whose theta
+    equals the previous one's (stage 1 of the factorial rule: 1! = 0!) takes
+    that stage's subproblem and plan, which it would rebuild bit for bit.
     """
-    boundary_sp = None if run.problem.family == "quadratic" else np.array(
+    quadratic = run.problem.family == "quadratic"
+    boundary_sp = None if quadratic else np.array(
         [len(J) + 2 * run.problem.dim for J in run.problem.partition], dtype=np.int64)
-    s = 0
+    s, st = 0, None
     while run.fault is None and s != budget.outer and (s == 0 or not budget.exhausted(run.ledger)):
         theta_s = sched.theta_at(s)
-        sub = penalty.assemble_model(run.problem, run.Z, run.w, theta_s)
+        reuse = quadratic and st is not None and theta_s == st.theta
+        sub = st.sub if reuse else penalty.assemble_model(run.problem, run.Z, run.w, theta_s)
         if boundary_sp is not None:
             run.ledger.charge_local(boundary_sp)
-        yield _StageSetup(s, theta_s, epsilon_balance(theta_s, consts, run.w.gap), sub,
-                          penalty.chebyshev_plan(sub, consts.mu))
+        st = _StageSetup(s, theta_s, epsilon_balance(theta_s, consts, run.w.gap), sub,
+                         st.plan if reuse else penalty.chebyshev_plan(sub, consts.mu))
+        yield st
         s += 1
 
 
@@ -324,6 +366,7 @@ def _stage(run, budget, st, done, k_planned=None):
             _emit(run, Z, s, theta, eps)
         fault = _round_fault(Z)
     run.Z, run.fault = Z, fault
+    _flush(run)
     run.trace.outer.append(OuterRecord(
         s=s, theta=theta, epsilon=eps, q=plan.q, rho=plan.rate, k_planned=k_planned,
         k_run=k, grad_norm=penalty.penalty_gradient(sub, Z)[1],

@@ -168,6 +168,22 @@ class TestErrorMetrics:
         assert error_v(X, p) == pytest.approx(
             error_v(X[perm], p2), rel=1e-12)
 
+    @pytest.mark.parametrize("R", [1, 3, 16])
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 1.0, 1e150])
+    def test_a_block_of_iterates_equals_one_call_each(self, R, scale):
+        # the trace rows' stacked form: bitwise the one-iterate value, row by row
+        rng = np.random.default_rng(R)
+        for p in (generate_quadratic(30, 10, seed=12), generate_quadratic(7, 3, seed=13),
+                  generate_logistic(6, 48, 3, seed=14, mu=1e-2)):
+            o = solve_reference(p)
+            Xs = scale * rng.standard_normal((R, p.node_count, p.dim))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for metric, arg in ((error_e, o), (error_v, p)):
+                    stacked = metric(Xs, arg)
+                    rows = [metric(X, arg) for X in Xs]
+                    assert type(stacked) is list and all(type(v) is float for v in rows)
+                    assert repr(stacked) == repr(rows)
+
 
 class TestSlopeFit:
     def test_exact_reciprocal_slope(self):

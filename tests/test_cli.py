@@ -3,10 +3,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from efix import problems, solvers
-from efix.cli import ALGORITHMS, main
+from efix.analysis import TraceRecord
+from efix.cli import ALGORITHMS, TRACE_COLUMNS, main, write_trace_csv
 from efix.problems import QuadraticProblem
 from efix.topology import generate_geometric_graph, metropolis_weights, mixing_from_json
 
@@ -105,6 +107,39 @@ class TestRun:
         rows = read_rows(tmp_path / "trace.csv")
         assert len(rows) == 1
         assert rows[0]["round"] == "0" and rows[0]["outer_s"] == "0"
+
+    def test_trace_csv_is_the_csv_writer_text(self, tmp_path):
+        # the one-string writer against csv.writer: None is an empty cell,
+        # integers go through int() and other numbers through repr(float())
+        def cell(v):
+            if v is None:
+                return ""
+            return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+
+        cells = [None, 0, 7, np.int64(-3), np.int32(2**31 - 1), 0.1, np.float64(1 / 3),
+                 5e-324, -0.0, float("inf"), -np.inf, float("nan"), np.float32(0.1), 1e300]
+        # runs of four rows that share theta, next to runs of an equal value in another type
+        thetas = [None, 2.5, np.float64(2.5), 0, 0.0, -0.0, np.int64(0), 2.5]
+        records = [TraceRecord(round=i, outer_s=i // 4, theta=thetas[i // 4 % len(thetas)],
+                               epsilon=cells[i % len(cells)], error_e=cells[(i + 1) % len(cells)],
+                               error_v=cells[(i + 2) % len(cells)],
+                               consensus_residual=cells[(i + 3) % len(cells)],
+                               cum_sp_max=cells[(i + 4) % len(cells)],
+                               cum_vectors_sent=np.int64(i))
+                   for i in range(3 * len(cells))]
+        # Python floats and ints alone, as a solver's rows hold them
+        plain = [TraceRecord(round=i, outer_s=1, theta=2.5, epsilon=1e-3, error_e=i / 7,
+                             error_v=-i / 3, consensus_residual=0.0, cum_sp_max=5 * i,
+                             cum_vectors_sent=7 * i) for i in range(5)]
+        for rows in (records, plain, []):
+            trace = solvers.Trace(algo="x", problem_hash="h", node_count=1, dim=1, records=rows)
+            write_trace_csv(trace, tmp_path / "t.csv")
+            with open(tmp_path / "ref.csv", "w", newline="") as fh:
+                out = csv.writer(fh, lineterminator="\n")
+                out.writerow(TRACE_COLUMNS)
+                for r in rows:
+                    out.writerow([cell(getattr(r, c)) for c in TRACE_COLUMNS])
+            assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_header_columns(self, tmp_path):
         cfg = base_config(tmp_path, budget={"rounds": 5})
@@ -323,10 +358,14 @@ class TestRun:
             "algorithm": {"name": algo}},
            "mixing matrix has no spectral gap: 1 - lambda_2 = 2.220446049250313e-16 is at most "
            "N eps = 8.881784197001252e-16") for algo in ALGORITHMS],
+        # every b_i zero gives y* = 0, where error_e's relative error is undefined
+        *[({"problem": {"problem_file": "{tmp}/zero.problem.json"}, "algorithm": {"name": algo}},
+           "oracle solution is zero; relative error undefined") for algo in ALGORITHMS],
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, section, fragment):
         for weight in CUT_WEIGHTS + (ROUNDING_WEIGHT,):
             (tmp_path / f"cut-{weight}.network.json").write_text(cut_path4_network(weight))
+        (tmp_path / "zero.problem.json").write_text(identity_problem(b=((0.0, 0.0),) * 3))
         section = json.loads(json.dumps(section).replace("{tmp}", str(tmp_path)))
         cfg = base_config(tmp_path, **section)
         assert main(["run", "--config", cfg]) == 1

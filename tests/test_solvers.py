@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from efix import penalty
-from efix.analysis import error_e, max_node_error, oracle_logistic, oracle_quadratic
+from efix.analysis import (TraceRecord, error_e, max_node_error, oracle_logistic,
+                           oracle_quadratic)
 from efix.penalty import (assemble, assemble_model, chebyshev_plan, chebyshev_step,
                           penalty_gradient, relaxation_bound, relaxed)
 from efix.problems import (QuadraticProblem, constants_for, generate_logistic,
@@ -17,7 +18,7 @@ from efix.simnet import (CostLedger, NodeRuntime, apply_updates, collect_payload
                          deliver, gather_state, run_round)
 from efix import solvers
 from efix.solvers import (DIVERGENCE_CEILING, Budget, OuterRecord, Schedule, Trace,
-                          _diging_update_factory, _efix_cheb_update, _efix_node_blocks, _emit,
+                          _diging_update_factory, _efix_cheb_update, _efix_node_blocks,
                           _round_fault, cbar, diging, efix_g, efix_q, efix_q_stopping,
                           epsilon_balance, inner_count)
 from efix.topology import generate_geometric_graph, metropolis_weights
@@ -372,6 +373,32 @@ class TestStageSetup:
             assert len(tr.outer) == 4
             assert len(calls) == len(tr.outer)
             assert calls == [rec.q for rec in tr.outer]
+
+    @pytest.mark.parametrize("solve, theta_rule, builds", [
+        (efix_q, "factorial", 3), (efix_q, "linear", 4),
+        (efix_q_stopping, "factorial", 3), (efix_g, "factorial", 4)])
+    def test_stages_with_one_theta_share_their_setup(self, monkeypatch, solve, theta_rule,
+                                                     builds):
+        # theta_1 = theta_0 1! = theta_0 0!, and a quadratic's model is the same at any
+        # iterate; a logistic model moves with it, so efix_g builds every stage
+        calls = []
+
+        def counted(name, fn, *args):
+            calls.append(name)
+            return fn(*args)
+
+        for name in ("assemble_model", "chebyshev_plan"):
+            monkeypatch.setattr(penalty, name, functools.partial(counted, name,
+                                                                 getattr(penalty, name)))
+        if solve is efix_g:
+            p = generate_logistic(5, 40, 3, seed=32, mu=1e-2)
+            w = metropolis_weights(generate_geometric_graph(5, 72))
+        else:
+            p, w, _ = random_setup(32)
+        tr = solve(p, w, Schedule(theta0=2 * constants_for(p).L, theta_rule=theta_rule),
+                   Budget(outer=4))
+        assert len(tr.outer) == 4
+        assert calls.count("assemble_model") == calls.count("chebyshev_plan") == builds
 
 
 class TestEfixG:
@@ -803,8 +830,32 @@ class TestChebyshevRound:
         np.testing.assert_array_equal(new["z_prev"], z0[0])
 
 
+def reference_row(run, X, s=0, theta=None, eps=None):
+    """Append X's trace row by the per-row formulas, independent of ``_flush``'s stacked ones.
+
+    The dense residual ``||X - W X||``, ``np.linalg.norm(..., axis=1)`` and
+    ``np.mean`` for ``error_e``, and ``error_v`` in its margins-then-labels form.
+    """
+    problem, oracle = run.problem, run.oracle
+    if problem.family == "quadratic":
+        H, r, f0 = problem.expanded_objective
+        vals = 0.5 * ((X @ H) * X).sum(axis=1) - X @ r + f0
+    else:
+        t = problem.features @ X.T
+        vals = (np.maximum(t * -problem.labels[:, None], 0.0)
+                + np.log1p(np.exp(-np.abs(t)))).sum(axis=0) \
+            + problem.node_count * 0.5 * problem.mu * (X * X).sum(axis=1)
+    run.trace.records.append(TraceRecord(
+        round=run.ledger.rounds, outer_s=s, theta=theta, epsilon=eps,
+        error_e=float(np.mean(np.linalg.norm(X - oracle.y_star, axis=1))
+                      / np.linalg.norm(oracle.y_star)),
+        error_v=float(np.mean(vals)),
+        consensus_residual=float(np.linalg.norm(X - run.W_dense @ X)),
+        cum_sp_max=run.ledger.max_sp, cum_vectors_sent=run.ledger.total_sent))
+
+
 def replay_run(problem, w, oracle, trace):
-    """What ``_emit`` reads of a run, built without the solvers' run set-up."""
+    """What ``reference_row`` reads of a run, built without the solvers' run set-up."""
     return SimpleNamespace(problem=problem, oracle=oracle, W_dense=w.to_dense(),
                            ledger=CostLedger(w.degrees()),
                            trace=Trace(algo=trace.algo, problem_hash=trace.problem_hash,
@@ -836,12 +887,12 @@ def engine_replay_efix(problem, w, trace, oracle, record_rounds=True):
         for i, nd in enumerate(nodes):
             nd.blocks = _efix_node_blocks(sweep, w, i)
             nd.state["z_prev"] = nd.state["z"]
-        _emit(run, X, rec.s, rec.theta, rec.epsilon)
+        reference_row(run, X, rec.s, rec.theta, rec.epsilon)
         for k in range(rec.k_run):
             update = functools.partial(_efix_cheb_update, omega=plan.weight(k))
             assert run_round(nodes, ("z",), update, ledger, 2 * n + 3, 1)
             if record_rounds:
-                _emit(run, gather_state(nodes, "z"), rec.s, rec.theta, rec.epsilon)
+                reference_row(run, gather_state(nodes, "z"), rec.s, rec.theta, rec.epsilon)
         Xs = gather_state(nodes, "z")
         _, gn = penalty_gradient(sub, Xs)
         ref.outer.append(OuterRecord(
@@ -870,10 +921,10 @@ def engine_replay_diging(problem, w, alpha, variant, trace, oracle):
     else:
         sp_round = np.array([3 * n + len(J) for J in problem.partition])
     update = _diging_update_factory(problem, alpha, variant)
-    _emit(run, np.zeros((N, n)))
+    reference_row(run, np.zeros((N, n)))
     for _ in range(len(trace.records) - 1):
         assert run_round(nodes, ("x", "u"), update, ledger, sp_round, 2)
-        _emit(run, gather_state(nodes, "x"))
+        reference_row(run, gather_state(nodes, "x"))
     ref.x_final = gather_state(nodes, "x")
     return ref
 
@@ -940,3 +991,77 @@ class TestStackedRoundsEqualTheEngine:
             tr = diging(problem, net, alpha, Budget(rounds=150), variant=variant,
                         oracle=oracle)
             self.assert_same(tr, engine_replay_diging(problem, net, alpha, variant, tr, oracle))
+
+
+class TestRowRing:
+    """``_emit`` queues rows in a ring that ``_flush`` evaluates a block at a time.
+
+    Each run's records must equal, bit for bit, the same run with every row
+    evaluated by ``reference_row`` as it is emitted.
+    """
+
+    R = solvers.ROW_RING
+
+    def assert_rows_as_the_reference(self, monkeypatch, solve):
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = solve()
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_emit", reference_row)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = solve()
+        assert len(tr.records) == len(ref.records) > 0
+        # repr: the rows may hold NaNs, and repr tells every float apart
+        assert repr([astuple(r) for r in tr.records]) == repr([astuple(r) for r in ref.records])
+        assert (tr.diverged, tr.numerical_failure) == (ref.diverged, ref.numerical_failure)
+        return tr
+
+    def test_a_stage_returns_with_its_rows_recorded(self):
+        # _stage flushes the ring before it returns, whatever the ring holds
+        p, w, consts = random_setup(45, N=7, n=3)
+        budget = Budget(rounds=self.R + 4)
+        run = solvers._Run(p, w, "efix-q", None, None, True, {})
+        st = next(solvers._stages(run, consts, Schedule(theta0=2 * consts.L), budget))
+        solvers._stage(run, budget, st, lambda k, Z: False)
+        assert [r.round for r in run.trace.records] == list(range(self.R + 5))
+        assert run.queued == []
+
+    @pytest.mark.parametrize("rows", [1, 2, R - 1, R, R + 1, 2 * R + 3])
+    def test_diging_rows_across_the_ring(self, monkeypatch, rows):
+        p, w, consts = random_setup(41, N=7, n=3)
+        tr = self.assert_rows_as_the_reference(
+            monkeypatch, lambda: diging(p, w, 1 / (10 * consts.L), Budget(rounds=rows - 1)))
+        assert len(tr.records) == rows
+
+    @pytest.mark.parametrize("solver", [efix_q, efix_g, efix_q_stopping])
+    @pytest.mark.parametrize("rounds", [0, 1, R - 2, R - 1, R, 2 * R + 2, 100])
+    def test_efix_rows_across_the_ring(self, monkeypatch, solver, rounds):
+        p, w, consts = random_setup(42, N=7, n=3)
+        for record_rounds in (True, False):
+            self.assert_rows_as_the_reference(
+                monkeypatch, lambda: solver(p, w, Schedule(theta0=2 * consts.L),
+                                            Budget(rounds=rounds), record_rounds=record_rounds))
+
+    def test_logistic_rows(self, monkeypatch):
+        p = generate_logistic(6, 48, 3, seed=43, mu=1e-2)
+        w = metropolis_weights(generate_geometric_graph(6, 44))
+        L = constants_for(p).L
+        self.assert_rows_as_the_reference(
+            monkeypatch, lambda: efix_g(p, w, Schedule(theta0=2 * L), Budget(rounds=2 * self.R + 5)))
+        self.assert_rows_as_the_reference(
+            monkeypatch, lambda: diging(p, w, 1 / (10 * L), Budget(rounds=self.R + 3)))
+
+    @pytest.mark.parametrize("run", ["nan", "overflow", "diging"])
+    def test_a_fault_inside_a_ring_block(self, monkeypatch, run):
+        p, w, consts = random_setup(18, N=5, n=2)
+
+        def solve():
+            if run == "diging":
+                return diging(p, w, alpha=1e6, budget=Budget(rounds=5000))
+            x0 = np.full((5, 2), 1e200 if run == "overflow" else np.nan)
+            return efix_q_stopping(p, w, Schedule(theta0=2 * consts.L), Budget(rounds=50),
+                                   x0=x0)
+
+        tr = self.assert_rows_as_the_reference(monkeypatch, solve)
+        assert tr.diverged or tr.numerical_failure
+        # the faulted run stops before its ring fills
+        assert len(tr.records) % self.R != 0
